@@ -97,6 +97,15 @@ class RuntimeBreakdown:
 
 
 def validate_profile(profile):
+    tm = profile.transfer
+    if tm.clamp is not None and len(tm.clamp) != 2:
+        raise CalibrationError("transfer clamp must be a (low, high) pair")
+    numbers = [profile.full_enclave_seconds, profile.full_accelerator_seconds,
+               tm.base_seconds, tm.seconds_per_byte, *(tm.clamp or ()),
+               *(t for pt in profile.per_point for t in (
+                   pt.enclave_prefix_seconds, pt.accelerator_suffix_seconds))]
+    if not all(math.isfinite(v) for v in numbers):
+        raise CalibrationError("profile numbers must be finite")
     if profile.full_enclave_seconds <= 0 or profile.full_accelerator_seconds < 0:
         raise CalibrationError("profile runtimes must be positive")
     if not profile.per_point:
@@ -326,7 +335,7 @@ def profile_from_json(doc):
             transfer=TransferModel(
                 base_seconds=float(transfer["base_seconds"]),
                 seconds_per_byte=float(transfer["seconds_per_byte"]),
-                clamp=tuple(clamp) if clamp else None),
+                clamp=None if clamp is None else tuple(map(float, clamp))),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CalibrationError(f"malformed profile document: {exc}") from None

@@ -11,6 +11,9 @@ Subgradient conventions at kinks: ReLU propagates zero at exactly zero;
 max pooling routes the gradient to the window argmax, ties broken toward
 the lowest flat index.
 
+The inversion attack in ``privacy`` reuses prefix activations: each step's
+input gradient comes from the accepted candidate's kept activations.
+
 Weights are materialized lazily from each layer's seed (He-style fan-in
 scaling, zero biases) and cached by structural identity, so the two halves
 of a split share the original layers' weights.
@@ -19,7 +22,7 @@ of a split share the original layers' weights.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, FC, FLATTEN, GAP,
                     MAXPOOL, RELU, SIGMOID, SWISH)
@@ -116,17 +119,36 @@ def model_param_bytes(model, lo, hi, element_size=4):
 # forward
 
 def _windows(x, k, stride, pad, fill=0.0):
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), constant_values=fill)
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    return xp, win  # win: (C, OH, OW, k, k)
+    """Read-only (C, OH, OW, k, k) view of the k x k windows of ``x`` padded
+    by ``pad`` on each spatial side with ``fill``, taken at ``stride``."""
+    c, h, w = x.shape
+    xp = np.ascontiguousarray(x)  # same strides as a padded copy
+    if pad:
+        xp = np.full((c, h + 2 * pad, w + 2 * pad), fill, dtype=x.dtype)
+        xp[:, pad:pad + h, pad:pad + w] = x
+    oh, ow = ((n - k) // stride + 1 for n in xp.shape[1:])
+    sc, sh, sw = xp.strides
+    return as_strided(xp, (c, oh, ow, k, k),
+                      (sc, sh * stride, sw * stride, sh, sw), writeable=False)
+
+
+def _col2im(gwin, x_shape, s, pad):
+    """Adjoint of ``_windows``: scatter-add window gradients (C, OH, OW, k, k)
+    onto the padded input, offset by offset in row-major order; crop."""
+    c, oh, ow, k, _ = gwin.shape
+    h, w = x_shape[1], x_shape[2]
+    xpg = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            xpg[:, i:i + s * oh:s, j:j + s * ow:s] += gwin[:, :, :, i, j]
+    return xpg[:, pad:pad + h, pad:pad + w] if pad else xpg
 
 
 def _conv_fwd(layer, x):
     p = layer.params
     w = layer_weights(layer)
-    _, win = _windows(x, p["kernel"], p["stride"], p["padding"])
-    c, oh, ow = win.shape[0], win.shape[1], win.shape[2]
-    k = p["kernel"]
+    win = _windows(x, p["kernel"], p["stride"], p["padding"])
+    c, oh, ow, k, _ = win.shape
     cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(
         oh * ow, c * k * k)
     out = cols @ w["w"].reshape(p["out_channels"], -1).T + w["b"]
@@ -136,22 +158,17 @@ def _conv_fwd(layer, x):
 def _conv_bwd(layer, g, x):
     p = layer.params
     w = layer_weights(layer)["w"]
-    k, s, pad = p["kernel"], p["stride"], p["padding"]
+    k = p["kernel"]
     o, oh, ow = g.shape
-    c = p["in_channels"]
     gcols = g.reshape(o, oh * ow).T @ w.reshape(o, -1)  # (OH*OW, C*k*k)
-    gwin = gcols.reshape(oh, ow, c, k, k)
-    xpg = np.zeros((c, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad))
-    for i in range(k):
-        for j in range(k):
-            xpg[:, i:i + s * oh:s, j:j + s * ow:s] += gwin[:, :, :, i, j].transpose(2, 0, 1)
-    return xpg[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] if pad else xpg
+    gwin = gcols.reshape(oh, ow, p["in_channels"], k, k).transpose(2, 0, 1, 3, 4)
+    return _col2im(gwin, x.shape, p["stride"], p["padding"])
 
 
 def _dwconv_fwd(layer, x):
     p = layer.params
     w = layer_weights(layer)
-    _, win = _windows(x, p["kernel"], p["stride"], p["padding"])
+    win = _windows(x, p["kernel"], p["stride"], p["padding"])
     out = np.einsum("cyxij,cij->cyx", win, w["w"]) + w["b"][:, None, None]
     return np.ascontiguousarray(out), None
 
@@ -159,13 +176,9 @@ def _dwconv_fwd(layer, x):
 def _dwconv_bwd(layer, g, x):
     p = layer.params
     w = layer_weights(layer)["w"]
-    k, s, pad = p["kernel"], p["stride"], p["padding"]
-    c, oh, ow = g.shape
-    xpg = np.zeros((c, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad))
-    for i in range(k):
-        for j in range(k):
-            xpg[:, i:i + s * oh:s, j:j + s * ow:s] += w[:, i, j][:, None, None] * g
-    return xpg[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] if pad else xpg
+    # (k, k, C, OH, OW) products, viewed as (C, OH, OW, k, k)
+    gwin = (w.transpose(1, 2, 0)[:, :, :, None, None] * g).transpose(2, 3, 4, 0, 1)
+    return _col2im(gwin, x.shape, p["stride"], p["padding"])
 
 
 def _sigmoid(x):
@@ -197,17 +210,15 @@ def _forward_layer(layer, x, act_of):
         expand = (slice(None),) + (None,) * (x.ndim - 1)
         return x * w["gamma"][expand] + w["beta"][expand], None
     if kind == MAXPOOL:
-        k, s = p["kernel"], p["stride"]
-        pad = p.get("padding", 0)
-        _, win = _windows(x, k, s, pad, fill=-np.inf)
+        k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
+        win = _windows(x, k, s, pad, fill=-np.inf)
         flat = win.reshape(win.shape[:3] + (k * k,))
         idx = np.argmax(flat, axis=-1)
         out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
         return np.ascontiguousarray(out), idx
     if kind == AVGPOOL:
-        k, s = p["kernel"], p["stride"]
-        pad = p.get("padding", 0)
-        _, win = _windows(x, k, s, pad)
+        k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
+        win = _windows(x, k, s, pad)
         return np.ascontiguousarray(win.mean(axis=(-2, -1))), None
     if kind == GAP:
         return x.mean(axis=(1, 2), keepdims=True), None
@@ -245,8 +256,7 @@ def _backward_layer(layer, g, x, aux, act_of):
         expand = (slice(None),) + (None,) * (x.ndim - 1)
         return g * gamma[expand], []
     if kind == MAXPOOL:
-        k, s = p["kernel"], p["stride"]
-        pad = p.get("padding", 0)
+        k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
         c, oh, ow = g.shape
         idx = aux
         xpg = np.zeros((c, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad))
@@ -257,16 +267,9 @@ def _backward_layer(layer, g, x, aux, act_of):
         out = xpg[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] if pad else xpg
         return out, []
     if kind == AVGPOOL:
-        k, s = p["kernel"], p["stride"]
-        pad = p.get("padding", 0)
-        c, oh, ow = g.shape
-        gk = g / (k * k)
-        xpg = np.zeros((c, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad))
-        for i in range(k):
-            for j in range(k):
-                xpg[:, i:i + s * oh:s, j:j + s * ow:s] += gk
-        out = xpg[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] if pad else xpg
-        return out, []
+        k = p["kernel"]
+        gwin = np.broadcast_to((g / (k * k))[..., None, None], g.shape + (k, k))
+        return _col2im(gwin, x.shape, p["stride"], p.get("padding", 0)), []
     if kind == GAP:
         h, w = x.shape[1], x.shape[2]
         return np.ascontiguousarray(np.broadcast_to(g / (h * w), x.shape)), []
@@ -299,14 +302,9 @@ def _run(model, x, upto):
     return acts, auxs
 
 
-def _check_input(model, x):
-    x = require_tensor(x, shape=model.input_shape, name="model input")
-    return x
-
-
 def forward(model, x):
     """Run the whole graph; returns the final activation."""
-    x = _check_input(model, x)
+    x = require_tensor(x, shape=model.input_shape, name="model input")
     acts, _ = _run(model, x, len(model.layers))
     out = acts[-1]
     if not np.all(np.isfinite(out)):
@@ -314,16 +312,29 @@ def forward(model, x):
     return out
 
 
-def forward_until(model, x, boundary_label):
-    """Run the enclave-side prefix only; returns the exposed feature map."""
-    x = _check_input(model, x)
+def _prefix(model, x, boundary_label):
+    """Run the enclave-side prefix; returns (checked input, boundary index,
+    activations, aux), the state ``_prefix_gradient`` differentiates."""
+    x = require_tensor(x, shape=model.input_shape, name="model input")
     b = model.boundary_of(boundary_label)
-    acts, _ = _run(model, x, b)
-    out = acts[b - 1]
-    if not np.all(np.isfinite(out)):
+    acts, auxs = _run(model, x, b)
+    if not np.all(np.isfinite(acts[b - 1])):
         raise EngineError(f"model {model.name!r}: non-finite activation at "
                           f"{boundary_label!r}")
-    return out
+    return x, b, acts, auxs
+
+
+def _prefix_gradient(model, state, cotangent):
+    """``input_gradient`` for a ``_prefix`` state, without re-running it."""
+    x, b, acts, auxs = state
+    cot = require_tensor(cotangent, shape=acts[b - 1].shape, name="cotangent")
+    return _backward(model, x, acts, auxs, b, cot)
+
+
+def forward_until(model, x, boundary_label):
+    """Run the enclave-side prefix only; returns the exposed feature map."""
+    _, b, acts, _ = _prefix(model, x, boundary_label)
+    return acts[b - 1]
 
 
 def input_gradient(model, boundary_label, x, cotangent):
@@ -332,11 +343,7 @@ def input_gradient(model, boundary_label, x, cotangent):
     Reverse-mode over the executed prefix; parameters are treated as
     constants.
     """
-    x = _check_input(model, x)
-    b = model.boundary_of(boundary_label)
-    acts, auxs = _run(model, x, b)
-    cot = require_tensor(cotangent, shape=acts[b - 1].shape, name="cotangent")
-    return _backward(model, x, acts, auxs, b, cot)
+    return _prefix_gradient(model, _prefix(model, x, boundary_label), cotangent)
 
 
 def _backward(model, x, acts, auxs, upto, cot):

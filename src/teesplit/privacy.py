@@ -143,27 +143,28 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     x = rng.uniform(lo, hi, size=model.input_shape)
 
     def loss_of(candidate):
-        feat = engine.forward_until(model, candidate, boundary_label)
+        # the prefix state is kept so the next step's gradient reuses it
+        state = engine._prefix(model, candidate, boundary_label)
+        feat = state[2][-1]  # activations end at the boundary
         # overflow here is the divergence signal, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
-            return feat, float(np.sum((feat - target) ** 2))
+            return state, feat, float(np.sum((feat - target) ** 2))
 
-    feat, loss = loss_of(x)
+    state, feat, loss = loss_of(x)
     if not np.isfinite(loss):
         raise InversionDivergenceError(0)
     step_size = cfg.step_size
     stale = 0
     for step in range(1, cfg.steps + 1):
-        grad = engine.input_gradient(model, boundary_label, x,
-                                     2.0 * (feat - target))
+        grad = engine._prefix_gradient(model, state, 2.0 * (feat - target))
         improved = False
         while step_size > 1e-14:
             cand = np.clip(x - step_size * grad, lo, hi)
-            cand_feat, cand_loss = loss_of(cand)
+            cand_state, cand_feat, cand_loss = loss_of(cand)
             if not np.isfinite(cand_loss):
                 raise InversionDivergenceError(step)
             if cand_loss <= loss:
-                x, feat, loss = cand, cand_feat, cand_loss
+                x, state, feat, loss = cand, cand_state, cand_feat, cand_loss
                 improved = True
                 break
             step_size *= 0.5

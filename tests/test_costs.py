@@ -182,6 +182,34 @@ def test_profile_save_load(tmp_path):
     assert ts.load_profile(path) == prof
 
 
+@pytest.mark.parametrize("field", ["full_enclave_seconds",
+                                   "full_accelerator_seconds",
+                                   "enclave_prefix_seconds",
+                                   "accelerator_suffix_seconds",
+                                   "base_seconds", "clamp_seconds"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_profile_json_rejects_non_finite_numbers(field, value):
+    doc = ts.profile_to_json(ts.builtin_profile("resnet50"))
+    if field.startswith("full"):
+        doc[field] = value
+    elif field == "base_seconds":
+        doc["transfer"][field] = value
+    elif field == "clamp_seconds":
+        doc["transfer"][field] = [0.02, value]
+    else:
+        doc["per_point"][1][field] = value
+    with pytest.raises(ts.CalibrationError):
+        ts.profile_from_json(doc)
+
+
+@pytest.mark.parametrize("clamp", [[0.1], [], [0.02, 0.05, 0.1], 0.1, "ab"])
+def test_profile_json_rejects_clamp_not_a_pair(clamp):
+    doc = ts.profile_to_json(ts.builtin_profile("resnet50"))
+    doc["transfer"]["clamp_seconds"] = clamp
+    with pytest.raises(ts.CalibrationError):
+        ts.profile_from_json(doc)
+
+
 def test_validate_profile_catches_corruption():
     prof = ts.builtin_profile("resnet50")
     pts = list(prof.per_point)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import teesplit as ts
+from teesplit import engine
 from teesplit.graph import LayerSpec
 
 
@@ -242,6 +244,46 @@ def test_engine_input_validation(toy4):
     x = np.zeros((1, 16, 16))
     with pytest.raises((ts.EngineError, ts.TensorError)):
         ts.input_gradient(toy4, "L1", x, np.zeros((3, 3, 3)))
+
+
+@pytest.mark.parametrize("fill", [0.0, -np.inf])
+def test_windows_match_pad_and_sliding_view(fill):
+    rng = np.random.default_rng(5)
+    for h, w in [(7, 7), (9, 5), (8, 11)]:
+        x = rng.standard_normal((3, h, w))
+        for k in (1, 2, 3):
+            for stride in (1, 2):
+                for pad in (0, 1, 2):
+                    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)),
+                                constant_values=fill)
+                    want = sliding_window_view(xp, (k, k), axis=(1, 2))[
+                        :, ::stride, ::stride]
+                    got = engine._windows(x, k, stride, pad, fill)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable
+
+
+def test_col2im_matches_scalar_scatter():
+    # each pixel sums its window terms in row-major kernel-offset order,
+    # starting from zero: the order the engine's gradients are pinned to
+    rng = np.random.default_rng(6)
+    for k, stride, pad in [(3, 1, 1), (3, 2, 1), (2, 2, 0), (5, 2, 2)]:
+        x_shape = (2, 9, 7)
+        win = engine._windows(np.zeros(x_shape), k, stride, pad)
+        gwin = rng.standard_normal(win.shape)
+        c, oh, ow = win.shape[:3]
+        want = np.zeros((c, x_shape[1] + 2 * pad, x_shape[2] + 2 * pad))
+        for i in range(k):
+            for j in range(k):
+                for ch in range(c):
+                    for y in range(oh):
+                        for xx in range(ow):
+                            want[ch, y * stride + i, xx * stride + j] += \
+                                gwin[ch, y, xx, i, j]
+        want = want[:, pad:pad + x_shape[1], pad:pad + x_shape[2]]
+        got = engine._col2im(gwin, x_shape, stride, pad)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

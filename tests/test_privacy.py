@@ -143,7 +143,62 @@ def test_inversion_divergence_reports_step():
     huge = np.full(m.layers[2].output_shape, 1e200)
     with pytest.raises(ts.InversionDivergenceError) as exc:
         ts.invert_feature_map(m, "B", huge, ts.AttackConfig(steps=10))
-    assert exc.value.step >= 0
+    # the initial loss already overflows, before any step is taken
+    assert exc.value.step == 0
+
+
+def oracle_inversion(model, label, exposed, cfg, on_step):
+    """The attack loop written against the public engine API only: every
+    step re-runs the prefix for the accepted point's input gradient."""
+    lo, hi = cfg.pixel_bounds
+    x = np.random.default_rng(cfg.init_seed).uniform(lo, hi, model.input_shape)
+
+    def loss_of(candidate):
+        feat = ts.forward_until(model, candidate, label)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return feat, float(np.sum((feat - exposed) ** 2))
+
+    feat, loss = loss_of(x)
+    step_size, stale = cfg.step_size, 0
+    for step in range(1, cfg.steps + 1):
+        grad = ts.input_gradient(model, label, x, 2.0 * (feat - exposed))
+        improved = False
+        while step_size > 1e-14:
+            cand = np.clip(x - step_size * grad, lo, hi)
+            cand_feat, cand_loss = loss_of(cand)
+            if cand_loss <= loss:
+                x, feat, loss = cand, cand_feat, cand_loss
+                improved = True
+                break
+            step_size *= 0.5
+        on_step(step, loss)
+        stale = 0 if improved else stale + 1
+        if stale >= 20:
+            break
+    return x
+
+
+@pytest.mark.parametrize("which", ["toy4", "wide"])
+def test_inversion_matches_public_api_oracle(which):
+    if which == "toy4":
+        m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+    else:
+        m = shallow_wide_model()
+    x = smooth_images(1, m.input_shape, seed=12)[0]
+    for bi, label in enumerate(m.labels()):
+        f = ts.forward_until(m, x, label)
+        # a large first step forces line-search halvings; a step below the
+        # 1e-14 floor never moves, so the attack stops after 20 stale steps
+        for steps, step_size in [(25, 2.0), (30, 1e-15)]:
+            cfg = ts.AttackConfig(steps=steps, step_size=step_size,
+                                  init_seed=bi)
+            got, want = [], []
+            r = ts.invert_feature_map(m, label, f, cfg,
+                                      on_step=lambda s, l: got.append((s, l)))
+            r_oracle = oracle_inversion(m, label, f, cfg,
+                                        lambda s, l: want.append((s, l)))
+            assert r.tobytes() == r_oracle.tobytes(), (label, step_size)
+            assert got == want, (label, step_size)
 
 
 def test_inversion_rejects_wrong_target_shape():
