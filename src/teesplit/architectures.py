@@ -16,6 +16,8 @@ fan-in scaled weights from it on demand.
 
 from __future__ import annotations
 
+import math
+
 from .graph import (ADD, BNORM, CMUL, CONV, DWCONV, FC, FLATTEN, GAP,
                     GraphError, LayerSpec, MAXPOOL, RELU, SIGMOID, SWISH, Unit,
                     load_model, make_graph, mix_seed)
@@ -26,7 +28,9 @@ BUILTIN_ARCHITECTURES = ("vgg16", "resnet50", "efficientnetb0")
 class _Assembler:
     """Accumulates layers, blocks, and partition points for a builder."""
 
-    def __init__(self, master_seed):
+    def __init__(self, name, input_shape, master_seed):
+        self.name = name
+        self.input_shape = input_shape
         self.master_seed = master_seed
         self.layers = []
         self.units = []
@@ -36,6 +40,12 @@ class _Assembler:
     def add(self, kind, name, source=None, **params):
         if kind in (CONV, DWCONV, FC, BNORM) and "seed" not in params:
             params["seed"] = mix_seed(self.master_seed, len(self.layers))
+        if kind == FC and "in_features" not in params:
+            # the width make_graph infers for the previous layer's output,
+            # so one builder body serves every input size the chain accepts
+            width = math.prod(make_graph(self.name, self.input_shape,
+                                         self.layers, ()).output_shape)
+            params = {"in_features": width, **params}
         self.layers.append(LayerSpec(name=name, kind=kind, params=params,
                                      output_shape=(), source=source))
         return len(self.layers) - 1
@@ -52,13 +62,13 @@ class _Assembler:
     def point(self, label):
         self.points.append((label, len(self.layers)))
 
-    def build(self, name, input_shape):
-        return make_graph(name, input_shape, self.layers, self.points,
-                          tuple(self.units))
+    def build(self):
+        return make_graph(self.name, self.input_shape, self.layers,
+                          self.points, tuple(self.units))
 
 
 def build_vgg16(input_shape=(3, 224, 224), seed=0):
-    a = _Assembler(mix_seed(seed, 16))
+    a = _Assembler("vgg16", input_shape, mix_seed(seed, 16))
     groups = [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)]
     in_ch = input_shape[0]
     conv_no = 0
@@ -75,36 +85,11 @@ def build_vgg16(input_shape=(3, 224, 224), seed=0):
             in_ch = width
     a.add(FLATTEN, "flatten")
     for i, units in enumerate((4096, 4096, 1000), start=1):
-        # in_features depends on input size; filled below after inference trick
-        a.add(FC, f"fc{i}", in_features=0, units=units)
+        a.add(FC, f"fc{i}", units=units)
         if i < 3:
             a.add(RELU, f"fc{i}.relu")
         a.unit(f"fc{i}", (("FC", 1),))
-    # resolve fc input widths by running shape inference incrementally
-    return _finalize_fc_widths(a, "vgg16", input_shape)
-
-
-def _finalize_fc_widths(a, name, input_shape):
-    """Fill FullyConnected in_features from the inferred upstream shapes.
-
-    Builders declare 0 and this pass replaces it, so one builder body works
-    for any input resolution the downsampling chain accepts.
-    """
-    import math
-
-    from .graph import _infer_shape  # local import: private on purpose
-
-    shapes = []
-
-    def shape_of(idx):
-        return tuple(input_shape) if idx == -1 else shapes[idx]
-
-    for i, layer in enumerate(a.layers):
-        in_shape = shape_of(i - 1 if layer.source is None else layer.source)
-        if layer.kind == FC and layer.params.get("in_features") == 0:
-            layer.params["in_features"] = math.prod(in_shape)
-        shapes.append(_infer_shape(layer, in_shape, shape_of))
-    return a.build(name, input_shape)
+    return a.build()
 
 
 def _bottleneck(a, in_ch, mid, out_ch, stride, tag):
@@ -135,7 +120,7 @@ def _bottleneck(a, in_ch, mid, out_ch, stride, tag):
 
 
 def build_resnet50(input_shape=(3, 224, 224), seed=0):
-    a = _Assembler(mix_seed(seed, 50))
+    a = _Assembler("resnet50", input_shape, mix_seed(seed, 50))
     a.add(CONV, "stem.conv", in_channels=input_shape[0], out_channels=64,
           kernel=7, stride=2, padding=3)
     a.add(BNORM, "stem.bn", channels=64)
@@ -156,7 +141,7 @@ def build_resnet50(input_shape=(3, 224, 224), seed=0):
     a.add(FLATTEN, "head.flatten")
     a.add(FC, "head.fc", in_features=in_ch, units=1000)
     a.unit("head", (("FC", 1),))
-    return a.build("resnet50", input_shape)
+    return a.build()
 
 
 def _mbconv(a, in_ch, out_ch, expand, stride, kernel, tag):
@@ -187,7 +172,7 @@ def _mbconv(a, in_ch, out_ch, expand, stride, kernel, tag):
 
 
 def build_efficientnetb0(input_shape=(3, 224, 224), seed=0):
-    a = _Assembler(mix_seed(seed, 7))
+    a = _Assembler("efficientnetb0", input_shape, mix_seed(seed, 7))
     a.add(CONV, "stem.conv", in_channels=input_shape[0], out_channels=32,
           kernel=3, stride=2, padding=1)
     a.add(BNORM, "stem.bn", channels=32)
@@ -223,7 +208,7 @@ def build_efficientnetb0(input_shape=(3, 224, 224), seed=0):
     a.add(FLATTEN, "top.flatten")
     a.add(FC, "top.fc", in_features=1280, units=1000)
     a.unit("top", (("FC", 1),))
-    return a.build("efficientnetb0", input_shape)
+    return a.build()
 
 
 def build_architecture(arch_name, input_shape=(3, 224, 224), seed=0):
@@ -252,7 +237,7 @@ def build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=0, widths=None):
             widths.append(2)
     if len(widths) != points:
         raise GraphError("widths must provide one channel count per block")
-    a = _Assembler(mix_seed(seed, points, 997))
+    a = _Assembler(f"toy{points}", input_shape, mix_seed(seed, points, 997))
     in_ch = input_shape[0]
     for i, width in enumerate(widths, start=1):
         if i in (2, 3):
@@ -264,9 +249,9 @@ def build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=0, widths=None):
         a.point(f"L{i}")
         in_ch = width
     a.add(FLATTEN, "top.flatten")
-    a.add(FC, "top.fc", in_features=0, units=10)
+    a.add(FC, "top.fc", units=10)
     a.unit("top", (("FC", 1),))
-    return _finalize_fc_widths(a, f"toy{points}", input_shape)
+    return a.build()
 
 
 def resolve_model(spec, input_shape=None, seed=0):

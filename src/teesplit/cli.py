@@ -23,18 +23,17 @@ import sys
 
 import numpy as np
 
-from . import engine
 from .architectures import resolve_model
 from .charts import sweep_chart_svg
 from .costs import (CalibrationError, builtin_profile, calibrate, load_profile,
-                    predict, profile_to_json, save_profile)
-from .graph import (GraphError, enumerate_partitions, mix_seed,
-                    model_to_json)
+                    predict, profile_to_json)
+from .graph import GraphError, enumerate_partitions, model_to_json
 from .pipeline import LedgerViolationError, simulate_pipeline
 from .planner import PlanError, PlanRequest, plan, plan_table_csv
-from .privacy import (AttackConfig, InversionDivergenceError, PrivacyError,
-                      PrivacyReport, SsimParams, evaluate_privacy,
-                      invert_feature_map, report_to_csv, scores_from_csv, ssim)
+from .privacy import (DEFAULT_SLACK, DEFAULT_THRESHOLD, AttackConfig,
+                      InversionDivergenceError, PrivacyError, PrivacyReport,
+                      SsimParams, evaluate_privacy, report_to_csv,
+                      score_boundary, scores_from_csv)
 from .tensors import (TensorError, load_image, load_tensor, save_tensor,
                       write_text_atomic)
 
@@ -110,10 +109,10 @@ def _add_model_flags(p, default_shape=None):
 
 def _add_attack_flags(p):
     p.add_argument("--images", required=True, help="directory of input images")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--step-size", type=float, default=0.05)
-    p.add_argument("--threshold", type=float, default=0.2)
-    p.add_argument("--slack", type=float, default=0.05)
+    p.add_argument("--steps", type=int, default=AttackConfig().steps)
+    p.add_argument("--step-size", type=float, default=AttackConfig().step_size)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
 
 
 def _breakdown_rows(breakdowns):
@@ -163,10 +162,7 @@ def _cmd_calibrate(args):
             "measurements CSV needs label,total_seconds columns") from None
     profile = calibrate(model, measurements, args.full_enclave,
                         args.full_accelerator)
-    if args.out in (None, "-"):
-        _emit(None, json.dumps(profile_to_json(profile), indent=2) + "\n")
-    else:
-        save_profile(args.out, profile)
+    _emit(args.out, json.dumps(profile_to_json(profile), indent=2) + "\n")
     return 0
 
 
@@ -191,20 +187,12 @@ def _attack_cfg(args):
 def _cmd_attack(args):
     model = _model_from_args(args)
     images = _load_images(args.images)
-    cfg = _attack_cfg(args)
     model.boundary_of(args.boundary)
-    bi = model.labels().index(args.boundary)
-    sims = []
-    for ii, img in enumerate(images):
-        exposed = engine.forward_until(model, img, args.boundary)
-        sub = AttackConfig(steps=cfg.steps, step_size=cfg.step_size,
-                           init_seed=mix_seed(cfg.init_seed, bi, ii),
-                           pixel_bounds=cfg.pixel_bounds)
-        recon = invert_feature_map(model, args.boundary, exposed, sub)
-        sims.append(ssim(recon, img))
+    sims = score_boundary(model, model.labels().index(args.boundary), images,
+                          _attack_cfg(args), SsimParams())
     mean = float(np.mean(sims))
     report = PrivacyReport(model_name=model.name,
-                           per_point=((args.boundary, mean, tuple(sims)),),
+                           per_point=((args.boundary, mean, sims),),
                            threshold=args.threshold,
                            optimal_boundary=None)
     _emit(args.out, report_to_csv(report))
@@ -341,8 +329,8 @@ def _build_parser():
     _add_model_flags(p)
     p.add_argument("--profile", required=True)
     p.add_argument("--privacy", required=True, help="privacy report CSV")
-    p.add_argument("--threshold", type=float, default=0.2)
-    p.add_argument("--slack", type=float, default=0.05)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_plan)
 

@@ -106,6 +106,8 @@ def validate_profile(profile):
                    pt.enclave_prefix_seconds, pt.accelerator_suffix_seconds))]
     if not all(math.isfinite(v) for v in numbers):
         raise CalibrationError("profile numbers must be finite")
+    if tm.clamp is not None and tm.clamp[0] > tm.clamp[1]:
+        raise CalibrationError("transfer clamp low end exceeds its high end")
     if profile.full_enclave_seconds <= 0 or profile.full_accelerator_seconds < 0:
         raise CalibrationError("profile runtimes must be positive")
     if not profile.per_point:
@@ -215,39 +217,34 @@ def _assemble(model, assignments, measured, full_enclave, full_accelerator,
               for lab, m in macs.items()}
     tr = {a.boundary_label: transfer.seconds_for(a.exposed_tensor_bytes)
           for a in assignments}
+    prefix = {lab: total - tr[lab] - suffix[lab]
+              for lab, total in measured.items()}
 
     anchors = []
     if extend_to_endpoints:
         anchors.append((0.0, 0.0))
     prev = -math.inf
-    for a in assignments:
-        lab = a.boundary_label
-        if lab not in measured:
+    for lab in macs:
+        if lab not in prefix:
             continue
-        prefix = measured[lab] - tr[lab] - suffix[lab]
-        if prefix < 0:
+        if prefix[lab] < 0:
             raise CalibrationError(
                 f"measured total at {lab!r} is below the modeled transfer and "
                 f"accelerator cost")
-        if prefix < prev:
+        if prefix[lab] < prev:
             raise CalibrationError(
                 f"measured prefix times are not non-decreasing at {lab!r}")
-        prev = prefix
-        anchors.append((macs[lab], prefix))
+        prev = prefix[lab]
+        anchors.append((macs[lab], prefix[lab]))
     if extend_to_endpoints:
         anchors.append((float(total_macs), full_enclave))
 
     per_point = tuple(
-        PointCost(
-            boundary_label=a.boundary_label,
-            enclave_prefix_seconds=(
-                measured[a.boundary_label] - tr[a.boundary_label]
-                - suffix[a.boundary_label]
-                if a.boundary_label in measured
-                else _interp_prefix(macs[a.boundary_label], anchors)),
-            accelerator_suffix_seconds=suffix[a.boundary_label],
-        )
-        for a in assignments)
+        PointCost(boundary_label=lab,
+                  enclave_prefix_seconds=(prefix[lab] if lab in prefix else
+                                          _interp_prefix(macs[lab], anchors)),
+                  accelerator_suffix_seconds=suffix[lab])
+        for lab in macs)
     return validate_profile(CostProfile(
         model_name=model.name, full_enclave_seconds=full_enclave,
         full_accelerator_seconds=full_accelerator, per_point=per_point,

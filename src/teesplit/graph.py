@@ -246,6 +246,15 @@ def _infer_shape(layer, in_shape, shape_of):
     raise GraphError(f"layer {name!r}: unknown kind {kind!r}")
 
 
+def _refs(layer):
+    """(field, index) for every layer this layer names as an operand:
+    ``source``, then ``skip_source`` / ``map_source`` when present."""
+    refs = [] if layer.source is None else [("source", layer.source)]
+    return refs + [(key, layer.params[key])
+                   for key in ("skip_source", "map_source")
+                   if key in layer.params]
+
+
 def make_graph(name, input_shape, layers, partition_points, units=()):
     """Validate a layer chain, run shape inference, and freeze a ModelGraph.
 
@@ -253,7 +262,11 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     Raises GraphError on malformed references, shape mismatches, inputs too
     small for the downsampling chain, or partition points that cut a block.
     """
-    input_shape = tuple(int(d) for d in input_shape)
+    try:
+        input_shape = tuple(int(d) for d in input_shape)
+    except (TypeError, ValueError):
+        raise GraphError(f"model {name!r}: bad input shape "
+                         f"{input_shape!r}") from None
     if len(input_shape) < 1 or any(d < 1 for d in input_shape):
         raise GraphError(f"model {name!r}: bad input shape {input_shape}")
     if not layers:
@@ -277,14 +290,12 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
         if layer.kind not in KINDS:
             raise GraphError(f"layer {layer.name!r}: unknown kind {layer.kind!r}")
         _check_params(layer.name, layer.kind, layer.params)
+        for key, ref in _refs(layer):
+            if (not isinstance(ref, int) or isinstance(ref, bool)
+                    or not -1 <= ref < i):
+                raise GraphError(f"layer {layer.name!r}: {key} {ref} must name "
+                                 f"an earlier layer")
         src = layer.source
-        if src is not None and not (-1 <= src < i):
-            raise GraphError(f"layer {layer.name!r}: source {src} must name an "
-                             f"earlier layer")
-        for key in ("skip_source", "map_source"):
-            if key in layer.params and not (-1 <= layer.params[key] < i):
-                raise GraphError(f"layer {layer.name!r}: {key} "
-                                 f"{layer.params[key]} must name an earlier layer")
         in_shape = shape_of(i - 1 if src is None else src)
         out_shape = _infer_shape(layer, in_shape, shape_of)
         shapes.append(out_shape)
@@ -294,7 +305,11 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     seen_labels = set()
     prev_b = 0
     for lab, b in partition_points:
-        b = int(b)
+        try:
+            b = int(b)
+        except (TypeError, ValueError):
+            raise GraphError(f"model {name!r}: boundary {b!r} for {lab!r} is "
+                             f"not an integer") from None
         if lab in seen_labels:
             raise GraphError(f"model {name!r}: duplicate partition label {lab!r}")
         seen_labels.add(lab)
@@ -326,15 +341,8 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     # a partition point must not be crossed by any reference other than to
     # the activation feeding the suffix (index boundary-1, the exposed map)
     for lab, b in pts:
-        for i in range(b, len(inferred)):
-            layer = inferred[i]
-            refs = []
-            if layer.source is not None:
-                refs.append(layer.source)
-            for key in ("skip_source", "map_source"):
-                if key in layer.params:
-                    refs.append(layer.params[key])
-            for r in refs:
+        for layer in inferred[b:]:
+            for _, r in _refs(layer):
                 if r < b - 1:
                     raise GraphError(
                         f"model {name!r}: layer {layer.name!r} reaches across "
@@ -468,8 +476,12 @@ def model_from_json(doc):
         raw_points = doc["partition_points"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"model document missing field: {exc}") from None
+    if not isinstance(raw_layers, list) or not isinstance(raw_points, list):
+        raise GraphError("model layers and partition_points must be lists")
     layers = []
     for rec in raw_layers:
+        if not isinstance(rec, dict):
+            raise GraphError(f"layer record must be an object, got {rec!r}")
         rec = dict(rec)
         try:
             lname = rec.pop("name")
@@ -485,10 +497,13 @@ def model_from_json(doc):
             points.append((rec["label"], rec["boundary"]))
         except (KeyError, TypeError) as exc:
             raise GraphError(f"partition point record missing field: {exc}") from None
-    units = tuple(
-        Unit(rec["label"], rec["start"], rec["end"],
-             tuple((k, n) for k, n in rec.get("counts", [])))
-        for rec in doc.get("units", []))
+    try:
+        units = tuple(
+            Unit(rec["label"], int(rec["start"]), int(rec["end"]),
+                 tuple((k, n) for k, n in rec.get("counts", [])))
+            for rec in doc.get("units", []))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed unit record: {exc!r}") from None
     return make_graph(name, input_shape, layers, points, units)
 
 

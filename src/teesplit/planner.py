@@ -2,7 +2,8 @@
 
 A boundary is feasible when its own reconstruction score is at or below the
 privacy threshold and every deeper boundary's score stays within threshold
-plus slack, mirroring the privacy evaluator's selection rule. Among feasible
+plus slack. The planner applies the privacy evaluator's own rule,
+``privacy.feasible_boundaries``, not a copy of it. Among feasible
 boundaries the planner picks the one with the smallest predicted total
 runtime, preferring the earlier boundary on ties. When nothing is feasible
 the plan recommends keeping the whole model in the enclave.
@@ -18,7 +19,7 @@ import io
 from dataclasses import dataclass, field
 
 from .costs import full_enclave_breakdown, predict
-from .privacy import DEFAULT_SLACK, DEFAULT_THRESHOLD
+from .privacy import DEFAULT_SLACK, DEFAULT_THRESHOLD, feasible_boundaries
 
 
 class PlanError(ValueError):
@@ -75,18 +76,12 @@ def _validated(req):
 def plan(req):
     """Best feasible partition under the request's threshold and slack."""
     _validated(req)
-    values = [float(s) for _, s in req.scores]
-    n = len(values)
-    worst_after = [float("-inf")] * n
-    for i in range(n - 2, -1, -1):
-        worst_after[i] = max(worst_after[i + 1], values[i + 1])
-    limit = req.threshold + req.slack
-
+    flags = feasible_boundaries([s for _, s in req.scores], req.threshold,
+                                req.slack)
     alternatives = []
     best = None
-    for i, ((label, score), assignment) in enumerate(zip(req.scores,
-                                                         req.assignments)):
-        feasible = values[i] <= req.threshold and worst_after[i] <= limit
+    for (label, score), assignment, feasible in zip(req.scores,
+                                                    req.assignments, flags):
         breakdown = predict(req.profile, assignment)
         alternatives.append(Alternative(boundary_label=label,
                                         mean_ssim=float(score),

@@ -179,6 +179,18 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     return x
 
 
+def feasible_boundaries(values, threshold, slack):
+    """One flag per boundary, in depth order: True when its score is at or
+    below the threshold and every deeper score is within threshold + slack."""
+    flags = []
+    worst_after = -np.inf
+    for value in reversed([float(v) for v in values]):
+        flags.append(value <= threshold and worst_after <= threshold + slack)
+        # accumulator first: a NaN score never becomes the running maximum
+        worst_after = max(worst_after, value)
+    return flags[::-1]
+
+
 def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
     """Earliest boundary whose score is at or below the threshold with every
     later score within threshold + slack; None when no boundary qualifies.
@@ -191,16 +203,23 @@ def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
         raise PrivacyError("threshold must be positive")
     if slack < 0:
         raise PrivacyError("slack must be non-negative")
-    values = [float(s) for _, s in scores]
-    worst_after = [0.0] * len(values)
-    running = -np.inf
-    for i in range(len(values) - 1, -1, -1):
-        worst_after[i] = running
-        running = max(running, values[i])
-    for (label, _), value, tail in zip(scores, values, worst_after):
-        if value <= threshold and tail <= threshold + slack:
-            return label
-    return None
+    flags = feasible_boundaries([s for _, s in scores], threshold, slack)
+    return next((label for (label, _), ok in zip(scores, flags) if ok), None)
+
+
+def score_boundary(model, bi, images, cfg, params):
+    """Per-image similarity of the attack's reconstructions at the model's
+    ``bi``-th partition point; image ``ii`` is attacked from the seed
+    ``mix_seed(cfg.init_seed, bi, ii)``."""
+    label = model.partition_points[bi][0]
+    sims = []
+    # module-global lookups, so a wrapper set on this module sees each call
+    for ii, img in enumerate(images):
+        exposed = engine.forward_until(model, img, label)
+        sub = replace(cfg, init_seed=mix_seed(cfg.init_seed, bi, ii))
+        recon = invert_feature_map(model, label, exposed, sub)
+        sims.append(ssim(recon, img, params))
+    return tuple(sims)
 
 
 def evaluate_privacy(model, images, cfg=AttackConfig(), params=SsimParams(),
@@ -218,13 +237,8 @@ def evaluate_privacy(model, images, cfg=AttackConfig(), params=SsimParams(),
             for im in images]
     per_point = []
     for bi, (label, _) in enumerate(model.partition_points):
-        sims = []
-        for ii, img in enumerate(imgs):
-            exposed = engine.forward_until(model, img, label)
-            sub = replace(cfg, init_seed=mix_seed(cfg.init_seed, bi, ii))
-            recon = invert_feature_map(model, label, exposed, sub)
-            sims.append(ssim(recon, img, params))
-        per_point.append((label, float(np.mean(sims)), tuple(sims)))
+        sims = score_boundary(model, bi, imgs, cfg, params)
+        per_point.append((label, float(np.mean(sims)), sims))
     optimal = select_optimal_partition([(lab, m) for lab, m, _ in per_point],
                                        threshold, slack)
     return PrivacyReport(model_name=model.name, per_point=tuple(per_point),
@@ -255,4 +269,6 @@ def scores_from_csv(text):
             out.append((row["label"], float(row["mean_ssim"])))
     except (KeyError, TypeError, ValueError):
         raise PrivacyError("malformed privacy report row") from None
+    if not all(np.isfinite(s) for _, s in out):
+        raise PrivacyError("privacy report scores must be finite")
     return out

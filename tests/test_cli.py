@@ -54,6 +54,18 @@ def test_build_unknown_model_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_model_json_exits_one(tmp_path, capsys):
+    doc = ts.model_to_json(ts.build_toy_cnn(points=3, input_shape=(1, 16, 16)))
+    doc["layers"][1]["source"] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["enumerate", "--model", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_enumerate_stdout_csv(capsys):
     assert run(["enumerate", "--model", "toy3",
                 "--input-shape", "1x16x16"]) == 0
@@ -150,6 +162,25 @@ def test_attack_deterministic_and_seed_sensitive(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PARTITION_SEED", "99")
     assert run(args + ["--out", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()
+    capsys.readouterr()
+
+
+def test_attack_row_matches_evaluate_row(tmp_path, capsys):
+    imgs = write_images(tmp_path / "imgs", n=2)
+    common = ["--model", "toy3", "--input-shape", "1x16x16", "--images", imgs,
+              "--steps", "30", "--step-size", "0.1", "--seed", "4"]
+    ev = tmp_path / "ev.csv"
+    assert run(["evaluate", *common, "--out", str(ev)]) == 0
+    header, *rows = ev.read_text().splitlines()
+    for row in rows:
+        label = row.split(",")[1]
+        at = tmp_path / f"{label}.csv"
+        assert run(["attack", *common, "--boundary", label,
+                    "--out", str(at)]) == 0
+        at_header, at_row = at.read_text().splitlines()
+        assert at_header == header
+        # the attack reports one boundary, so only the row number differs
+        assert at_row.split(",")[1:] == row.split(",")[1:]
     capsys.readouterr()
 
 

@@ -202,7 +202,8 @@ def test_profile_json_rejects_non_finite_numbers(field, value):
         ts.profile_from_json(doc)
 
 
-@pytest.mark.parametrize("clamp", [[0.1], [], [0.02, 0.05, 0.1], 0.1, "ab"])
+@pytest.mark.parametrize("clamp", [[0.1], [], [0.02, 0.05, 0.1], 0.1, "ab",
+                                   [0.1, 0.02]])
 def test_profile_json_rejects_clamp_not_a_pair(clamp):
     doc = ts.profile_to_json(ts.builtin_profile("resnet50"))
     doc["transfer"]["clamp_seconds"] = clamp

@@ -161,6 +161,34 @@ def test_save_load_model(tmp_path, toy4):
     assert ts.load_model(path) == toy4
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("units", 0, "start"), _DROP),
+    (("units", 0, "end"), "x"),
+    (("layers", 0), 5),
+    (("input_shape",), ["a"]),
+    (("partition_points",), 5),
+    (("partition_points", 0, "boundary"), "x"),
+    (("layers", 1, "source"), "x"),
+], ids=["unit-without-start", "unit-end-not-integer", "layer-not-object",
+        "input-shape-not-numeric", "partition-points-not-list",
+        "boundary-not-integer", "source-not-integer"])
+def test_model_from_json_rejects_malformed_documents(toy4, path, value):
+    doc = ts.model_to_json(toy4)
+    *parents, key = path
+    target = doc
+    for k in parents:
+        target = target[k]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ts.GraphError):
+        ts.model_from_json(doc)
+
+
 def test_unit_counts_run_length():
     m = ts.build_architecture("efficientnetb0")
     last = [a for a in ts.enumerate_partitions(m)

@@ -51,6 +51,18 @@ def test_plan_equals_brute_force_on_random_requests():
             [x.feasible for x in b.alternatives]
 
 
+def test_first_feasible_alternative_is_the_evaluator_choice():
+    rng = np.random.default_rng(14)
+    parts = {k: toy_request_parts(k) for k in (2, 3, 4, 5, 6)}
+    for trial in range(200):
+        m, asg = parts[2 + trial % 5]
+        req = random_request(rng, m, asg)
+        first = next((alt.boundary_label for alt in ts.plan(req).alternatives
+                      if alt.feasible), None)
+        assert first == ts.select_optimal_partition(req.scores, req.threshold,
+                                                    req.slack)
+
+
 def test_feasibility_soundness():
     rng = np.random.default_rng(12)
     m, asg = toy_request_parts(5)

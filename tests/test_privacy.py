@@ -255,3 +255,6 @@ def test_scores_from_csv_rejects_garbage():
         ts.scores_from_csv("")
     with pytest.raises(ts.PrivacyError):
         ts.scores_from_csv("a,b\n1,2\n")
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ts.PrivacyError):
+            ts.scores_from_csv(f"label,mean_ssim\nL1,0.1\nL2,{bad}\n")
