@@ -3,9 +3,13 @@
 Runs a graph forward (optionally only up to a partition boundary) and
 computes analytic gradients of a boundary activation with respect to the
 graph input via reverse-mode accumulation. Convolution is lowered to im2col
-matrix products with a fixed accumulation order, so identical seeds and
-inputs reproduce bitwise identical outputs, and running a split model's two
-halves back to back is bitwise identical to running the unsplit chain.
+channel-major: the columns are a (C*k*k, OH*OW) matrix, one row per input
+channel and kernel offset, and the output is ``W @ cols`` with W viewed as
+(O, C*k*k), which is already the (O, OH, OW) layout. That product fixes the
+accumulation order, and depthwise convolution sums its k*k offsets in
+row-major order, so identical seeds and inputs reproduce bitwise identical
+outputs, and running a split model's two halves back to back is bitwise
+identical to running the unsplit chain.
 
 Subgradient conventions at kinks: ReLU propagates zero at exactly zero;
 max pooling routes the gradient to the window argmax, ties broken toward
@@ -149,10 +153,13 @@ def _conv_fwd(layer, x):
     w = layer_weights(layer)
     win = _windows(x, p["kernel"], p["stride"], p["padding"])
     c, oh, ow, k, _ = win.shape
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(
-        oh * ow, c * k * k)
-    out = cols @ w["w"].reshape(p["out_channels"], -1).T + w["b"]
-    return np.ascontiguousarray(out.T.reshape(p["out_channels"], oh, ow))
+    # (C*k*k, OH*OW) columns: each copied run is a whole output row, and a
+    # 1x1 stride-1 unpadded view is already contiguous, so nothing is copied
+    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(
+        c * k * k, oh * ow)
+    out = w["w"].reshape(p["out_channels"], -1) @ cols
+    out += w["b"][:, None]
+    return out.reshape(p["out_channels"], oh, ow)
 
 
 def _conv_bwd(layer, g, x):
@@ -160,17 +167,23 @@ def _conv_bwd(layer, g, x):
     w = layer_weights(layer)["w"]
     k = p["kernel"]
     o, oh, ow = g.shape
-    gcols = g.reshape(o, oh * ow).T @ w.reshape(o, -1)  # (OH*OW, C*k*k)
-    gwin = gcols.reshape(oh, ow, p["in_channels"], k, k).transpose(2, 0, 1, 3, 4)
+    gcols = w.reshape(o, -1).T @ g.reshape(o, oh * ow)  # (C*k*k, OH*OW)
+    gwin = gcols.reshape(p["in_channels"], k, k, oh, ow).transpose(0, 3, 4, 1, 2)
     return _col2im(gwin, x.shape, p["stride"], p["padding"])
 
 
 def _dwconv_fwd(layer, x):
     p = layer.params
     w = layer_weights(layer)
-    win = _windows(x, p["kernel"], p["stride"], p["padding"])
-    out = np.einsum("cyxij,cij->cyx", win, w["w"]) + w["b"][:, None, None]
-    return np.ascontiguousarray(out), None
+    k = p["kernel"]
+    win = _windows(x, k, p["stride"], p["padding"])
+    # one (C, OH, OW) slab per kernel offset, in _col2im's row-major order
+    out = np.zeros(win.shape[:3])
+    for i in range(k):
+        for j in range(k):
+            out += win[:, :, :, i, j] * w["w"][:, i, j, None, None]
+    out += w["b"][:, None, None]
+    return out, None
 
 
 def _dwconv_bwd(layer, g, x):

@@ -164,8 +164,9 @@ def _check_params(name, kind, params):
     for key in ("kernel", "stride"):
         if key in params and params[key] < 1:
             raise GraphError(f"layer {name!r}: {key} must be >= 1")
-    if params.get("padding", 0) < 0:
-        raise GraphError(f"layer {name!r}: padding must be >= 0")
+    for key in ("padding", "seed"):
+        if params.get(key, 0) < 0:
+            raise GraphError(f"layer {name!r}: {key} must be >= 0")
 
 
 def _pool_extent(name, h, k, s, p):
@@ -284,6 +285,9 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     inferred = []
     names = set()
     for i, layer in enumerate(layers):
+        if not isinstance(layer.name, str):
+            raise GraphError(f"model {name!r}: layer name {layer.name!r} is "
+                             f"not a string")
         if layer.name in names:
             raise GraphError(f"model {name!r}: duplicate layer name {layer.name!r}")
         names.add(layer.name)
@@ -310,6 +314,9 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
         except (TypeError, ValueError):
             raise GraphError(f"model {name!r}: boundary {b!r} for {lab!r} is "
                              f"not an integer") from None
+        if not isinstance(lab, str):
+            raise GraphError(f"model {name!r}: partition label {lab!r} is not "
+                             f"a string")
         if lab in seen_labels:
             raise GraphError(f"model {name!r}: duplicate partition label {lab!r}")
         seen_labels.add(lab)
@@ -319,7 +326,7 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
             raise GraphError(f"model {name!r}: partition boundaries must be "
                              f"strictly increasing")
         prev_b = b
-        pts.append((str(lab), b))
+        pts.append((lab, b))
 
     units = tuple(units)
     if units:

@@ -55,15 +55,19 @@ def test_build_unknown_model_exits_one(capsys):
 
 
 def test_malformed_model_json_exits_one(tmp_path, capsys):
-    doc = ts.model_to_json(ts.build_toy_cnn(points=3, input_shape=(1, 16, 16)))
-    doc["layers"][1]["source"] = "x"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert run(["enumerate", "--model", str(bad)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    for section, index, key, value in [("layers", 1, "source", "x"),
+                                       ("layers", 0, "name", [1]),
+                                       ("partition_points", 0, "label", {"a": 1}),
+                                       ("layers", 0, "seed", -1)]:
+        doc = ts.model_to_json(ts.build_toy_cnn(points=3, input_shape=(1, 16, 16)))
+        doc[section][index][key] = value
+        bad.write_text(json.dumps(doc))
+        assert run(["enumerate", "--model", str(bad)]) == 1, key
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_enumerate_stdout_csv(capsys):

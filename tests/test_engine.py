@@ -87,38 +87,82 @@ def test_fc_forward_matches_matrix_math():
     assert np.allclose(got, want, rtol=0, atol=0)
 
 
+# (in_channels, out_channels, H, W, kernel, stride, padding): 1x1 stride 1
+# unpadded is the lowering's no-copy path, 7x7/2 pad 3 the ResNet stem
+CONV_CASES = [(2, 3, 5, 5, 3, 2, 1), (4, 5, 6, 6, 1, 1, 0),
+              (4, 5, 7, 7, 1, 2, 0), (3, 4, 15, 15, 7, 2, 3),
+              (3, 2, 6, 9, 3, 1, 1)]
+# (channels, H, W, kernel, stride, padding)
+DWCONV_CASES = [(3, 4, 4, 3, 1, 1), (3, 9, 7, 5, 2, 2)]
+
+
+def conv_layer(case, seed):
+    """(input shape, layer) for a CONV_CASES entry."""
+    c, o, h, w, k, s, pad = case
+    return (c, h, w), spec("c", ts.CONV, in_channels=c, out_channels=o,
+                           kernel=k, stride=s, padding=pad, seed=seed)
+
+
+def dwconv_layer(case, seed):
+    """(input shape, layer) for a DWCONV_CASES entry."""
+    c, h, w, k, s, pad = case
+    return (c, h, w), spec("d", ts.DWCONV, channels=c, kernel=k, stride=s,
+                           padding=pad, seed=seed)
+
+
 def test_conv_forward_matches_loop_oracle():
-    layers = [spec("c", ts.CONV, in_channels=2, out_channels=3, kernel=3,
-                   stride=2, padding=1, seed=9)]
-    m = graph((2, 5, 5), layers)
-    x = np.random.default_rng(2).standard_normal((2, 5, 5))
-    w = ts.layer_weights(m.layers[0])
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    oh = ow = (5 + 2 * 1 - 3) // 2 + 1
-    want = np.zeros((3, oh, ow))
-    for o in range(3):
-        for i in range(oh):
-            for j in range(ow):
-                patch = xp[:, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
-                want[o, i, j] = float((patch * w["w"][o]).sum()) + w["b"][o]
-    got = ts.forward(m, x)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    for n, case in enumerate(CONV_CASES):
+        c, o, h, w_, k, s, pad = case
+        shape, layer = conv_layer(case, 9 + n)
+        m = graph(shape, [layer])
+        x = np.random.default_rng(2 + n).standard_normal(shape)
+        w = ts.layer_weights(m.layers[0])
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        oh, ow = (h + 2 * pad - k) // s + 1, (w_ + 2 * pad - k) // s + 1
+        want = np.zeros((o, oh, ow))
+        for oc in range(o):
+            for i in range(oh):
+                for j in range(ow):
+                    patch = xp[:, s * i:s * i + k, s * j:s * j + k]
+                    want[oc, i, j] = float((patch * w["w"][oc]).sum()) + w["b"][oc]
+        got = ts.forward(m, x)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), case
+        assert got.flags.c_contiguous and not np.shares_memory(got, x), case
 
 
 def test_dwconv_forward_matches_loop_oracle():
-    layers = [spec("d", ts.DWCONV, channels=3, kernel=3, stride=1, padding=1,
-                   seed=4)]
-    m = graph((3, 4, 4), layers)
-    x = np.random.default_rng(3).standard_normal((3, 4, 4))
-    w = ts.layer_weights(m.layers[0])
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    want = np.zeros((3, 4, 4))
-    for c in range(3):
-        for i in range(4):
-            for j in range(4):
-                patch = xp[c, i:i + 3, j:j + 3]
-                want[c, i, j] = float((patch * w["w"][c]).sum()) + w["b"][c]
-    assert np.allclose(ts.forward(m, x), want, rtol=1e-12, atol=1e-12)
+    for n, case in enumerate(DWCONV_CASES):
+        c, h, w_, k, s, pad = case
+        shape, layer = dwconv_layer(case, 4 + n)
+        m = graph(shape, [layer])
+        x = np.random.default_rng(3 + n).standard_normal(shape)
+        w = ts.layer_weights(m.layers[0])
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        oh, ow = (h + 2 * pad - k) // s + 1, (w_ + 2 * pad - k) // s + 1
+        want = np.zeros((c, oh, ow))
+        for ch in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    patch = xp[ch, s * i:s * i + k, s * j:s * j + k]
+                    want[ch, i, j] = float((patch * w["w"][ch]).sum()) + w["b"][ch]
+        got = ts.forward(m, x)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), case
+        assert got.flags.c_contiguous and not np.shares_memory(got, x), case
+
+
+def test_conv_backward_is_forward_adjoint():
+    # biases are zero, so each conv is linear and <f(x), g> = <x, f^T g>
+    cases = [conv_layer(case, 11) for case in CONV_CASES]
+    cases += [dwconv_layer(case, 12) for case in DWCONV_CASES]
+    rng = np.random.default_rng(8)
+    for shape, layer in cases:
+        m = graph(shape, [layer, spec("f", ts.FLATTEN)], [("Z", 1)])
+        x = rng.standard_normal(m.input_shape)
+        f = ts.forward_until(m, x, "Z")
+        g = rng.standard_normal(f.shape)
+        dx = ts.input_gradient(m, "Z", x, g)
+        assert np.isclose((f * g).sum(), (x * dx).sum(), rtol=1e-12, atol=0), \
+            layer.params
 
 
 def test_pool_forward_oracles():

@@ -172,9 +172,13 @@ _DROP = object()
     (("partition_points",), 5),
     (("partition_points", 0, "boundary"), "x"),
     (("layers", 1, "source"), "x"),
+    (("layers", 0, "name"), [1]),
+    (("partition_points", 0, "label"), {"a": 1}),
+    (("layers", 0, "seed"), -1),
 ], ids=["unit-without-start", "unit-end-not-integer", "layer-not-object",
         "input-shape-not-numeric", "partition-points-not-list",
-        "boundary-not-integer", "source-not-integer"])
+        "boundary-not-integer", "source-not-integer", "name-not-string",
+        "label-not-string", "negative-seed"])
 def test_model_from_json_rejects_malformed_documents(toy4, path, value):
     doc = ts.model_to_json(toy4)
     *parents, key = path
