@@ -34,8 +34,8 @@ from .privacy import (DEFAULT_SLACK, DEFAULT_THRESHOLD, AttackConfig,
                       InversionDivergenceError, PrivacyError, PrivacyReport,
                       SsimParams, evaluate_privacy, report_to_csv,
                       score_boundary, scores_from_csv)
-from .tensors import (TensorError, load_image, load_tensor, save_tensor,
-                      write_text_atomic)
+from .tensors import (TensorError, csv_text, load_image, load_tensor,
+                      read_text, save_tensor, write_text_atomic)
 
 
 class _UsageError(Exception):
@@ -116,17 +116,12 @@ def _add_attack_flags(p):
 
 
 def _breakdown_rows(breakdowns):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["boundary_label", "enclave_seconds", "transfer_seconds",
-                "accelerator_seconds", "total_seconds", "speedup_percent"])
-    for bd in breakdowns:
-        w.writerow([bd.boundary_label, format(bd.enclave_seconds, ".10g"),
-                    format(bd.transfer_seconds, ".10g"),
-                    format(bd.accelerator_seconds, ".10g"),
-                    format(bd.total_seconds, ".10g"),
-                    format(100.0 * bd.speedup_vs_full_enclave, ".10g")])
-    return buf.getvalue()
+    return csv_text(
+        ["boundary_label", "enclave_seconds", "transfer_seconds",
+         "accelerator_seconds", "total_seconds", "speedup_percent"],
+        ([bd.boundary_label, bd.enclave_seconds, bd.transfer_seconds,
+          bd.accelerator_seconds, bd.total_seconds,
+          100.0 * bd.speedup_vs_full_enclave] for bd in breakdowns))
 
 
 def _cmd_build(args):
@@ -138,23 +133,20 @@ def _cmd_build(args):
 
 def _cmd_enumerate(args):
     model = _model_from_args(args)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["label", "boundary", "exposed_shape", "exposed_bytes",
-                "enclave", "accelerator"])
-    for a in enumerate_partitions(model):
-        w.writerow([a.boundary_label, a.boundary,
-                    "x".join(str(d) for d in a.exposed_tensor_shape),
-                    a.exposed_tensor_bytes, a.enclave_summary,
-                    a.accelerator_summary])
-    _emit(args.out, buf.getvalue())
+    _emit(args.out, csv_text(
+        ["label", "boundary", "exposed_shape", "exposed_bytes", "enclave",
+         "accelerator"],
+        ([a.boundary_label, a.boundary,
+          "x".join(str(d) for d in a.exposed_tensor_shape),
+          a.exposed_tensor_bytes, a.enclave_summary, a.accelerator_summary]
+         for a in enumerate_partitions(model))))
     return 0
 
 
 def _cmd_calibrate(args):
     model = _model_from_args(args)
-    with open(args.measurements, "r", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    text = read_text(args.measurements, CalibrationError, "measurements CSV")
+    rows = list(csv.DictReader(io.StringIO(text)))
     try:
         measurements = [(r["label"], float(r["total_seconds"])) for r in rows]
     except (KeyError, TypeError, ValueError):
@@ -224,8 +216,8 @@ def _cmd_evaluate(args):
 def _cmd_plan(args):
     model = _model_from_args(args)
     profile = _load_profile_arg(args.profile)
-    with open(args.privacy, "r", encoding="utf-8") as fh:
-        scores = scores_from_csv(fh.read())
+    scores = scores_from_csv(read_text(args.privacy, PrivacyError,
+                                       "privacy report"))
     req = PlanRequest(model_name=model.name, profile=profile,
                       scores=tuple(scores),
                       assignments=tuple(enumerate_partitions(model)),
@@ -256,8 +248,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_report(args):
-    with open(args.privacy, "r", encoding="utf-8") as fh:
-        scores = scores_from_csv(fh.read())
+    scores = scores_from_csv(read_text(args.privacy, PrivacyError,
+                                       "privacy report"))
     labels = [lab for lab, _ in scores]
     ssim_series = [("mean similarity", [s for _, s in scores])]
     runtime_series = None

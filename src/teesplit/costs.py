@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .architectures import build_architecture
-from .graph import CONV, DWCONV, FC, enumerate_partitions
+from .graph import enumerate_partitions, weight_shapes
+from .tensors import read_json, write_text_atomic
 
 TRANSFER_CLAMP = (0.02, 0.1)
 
@@ -140,15 +141,9 @@ def mac_count(model, up_to_boundary=None):
 
 
 def _layer_macs(layer):
-    out_elems = math.prod(layer.output_shape)
-    p = layer.params
-    if layer.kind == CONV:
-        return out_elems * p["kernel"] ** 2 * p["in_channels"]
-    if layer.kind == DWCONV:
-        return out_elems * p["kernel"] ** 2
-    if layer.kind == FC:
-        return p["in_features"] * p["units"]
-    return out_elems
+    # weights one output element reads; 1 for kinds without a "w" array
+    taps = math.prod(weight_shapes(layer).get("w", ())[1:])
+    return math.prod(layer.output_shape) * taps
 
 
 def _macs_prefix(model, hi):
@@ -340,14 +335,8 @@ def profile_from_json(doc):
 
 
 def save_profile(path, profile):
-    from .tensors import write_text_atomic
     write_text_atomic(path, json.dumps(profile_to_json(profile), indent=2) + "\n")
 
 
 def load_profile(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CalibrationError(f"unreadable profile {path}: {exc}") from None
-    return profile_from_json(doc)
+    return profile_from_json(read_json(path, CalibrationError, "profile"))

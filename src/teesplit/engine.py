@@ -19,17 +19,20 @@ The inversion attack in ``privacy`` reuses prefix activations: each step's
 input gradient comes from the accepted candidate's kept activations.
 
 Weights are materialized lazily from each layer's seed (He-style fan-in
-scaling, zero biases) and cached by structural identity, so the two halves
-of a split share the original layers' weights.
+scaling, zero biases) in the layout ``graph.weight_shapes`` gives, and cached
+by kind, seed, init and those shapes, so the two halves of a split share the
+original layers' weights.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, FC, FLATTEN, GAP,
-                    MAXPOOL, RELU, SIGMOID, SWISH)
+                    MAXPOOL, RELU, SIGMOID, SWISH, weight_shapes)
 from .tensors import require_tensor
 
 
@@ -40,54 +43,32 @@ class EngineError(ValueError):
 _WEIGHTS = {}
 
 
-def _weight_key(layer):
-    p = layer.params
-    if layer.kind == CONV:
-        return (CONV, p.get("seed", 0), p.get("init", "he"), p["in_channels"],
-                p["out_channels"], p["kernel"])
-    if layer.kind == DWCONV:
-        return (DWCONV, p.get("seed", 0), p["channels"], p["kernel"])
-    if layer.kind == FC:
-        return (FC, p.get("seed", 0), p["in_features"], p["units"])
-    if layer.kind == BNORM:
-        return (BNORM, p.get("seed", 0), p["channels"])
-    return None
-
-
 def _materialize(layer):
     p = layer.params
+    shapes = weight_shapes(layer)
     rng = np.random.default_rng(p.get("seed", 0))
-    if layer.kind == CONV:
-        o, c, k = p["out_channels"], p["in_channels"], p["kernel"]
-        if p.get("init") == "identity":
-            w = np.zeros((o, c, k, k))
-            for ch in range(o):
-                w[ch, ch, k // 2, k // 2] = 1.0
-        else:
-            fan_in = c * k * k
-            w = rng.standard_normal((o, c, k, k)) * np.sqrt(2.0 / fan_in)
-        return {"w": w, "b": np.zeros(o)}
-    if layer.kind == DWCONV:
-        c, k = p["channels"], p["kernel"]
-        w = rng.standard_normal((c, k, k)) * np.sqrt(2.0 / (k * k))
-        return {"w": w, "b": np.zeros(c)}
-    if layer.kind == FC:
-        n, m = p["in_features"], p["units"]
-        w = rng.standard_normal((m, n)) * np.sqrt(2.0 / n)
-        return {"w": w, "b": np.zeros(m)}
     if layer.kind == BNORM:
-        c = p["channels"]
-        return {"gamma": rng.uniform(0.9, 1.1, c),
-                "beta": rng.standard_normal(c) * 0.05}
-    return None
+        return {"gamma": rng.uniform(0.9, 1.1, shapes["gamma"]),
+                "beta": rng.standard_normal(shapes["beta"]) * 0.05}
+    o, *fan = shapes["w"]
+    if p.get("init") == "identity":
+        w = np.zeros(shapes["w"])
+        for ch in range(o):
+            w[ch, ch, fan[1] // 2, fan[2] // 2] = 1.0
+    else:
+        w = rng.standard_normal(shapes["w"]) * np.sqrt(2.0 / math.prod(fan))
+    return {"w": w, "b": np.zeros(shapes["b"])}
 
 
 def layer_weights(layer):
     """Materialized weights for a parameterized layer (cached; treat as
     read-only). Returns None for parameterless kinds."""
-    key = _weight_key(layer)
-    if key is None:
+    shapes = weight_shapes(layer)
+    if not shapes:
         return None
+    p = layer.params
+    # the shapes fix every parameter the weights depend on besides these
+    key = (layer.kind, p.get("seed", 0), p.get("init", "he"), *shapes.values())
     got = _WEIGHTS.get(key)
     if got is None:
         got = _materialize(layer)
@@ -103,16 +84,7 @@ def clear_weight_cache():
 
 def param_count(layer):
     """Number of scalar parameters the layer carries (0 for stateless kinds)."""
-    p = layer.params
-    if layer.kind == CONV:
-        return p["out_channels"] * (p["in_channels"] * p["kernel"] ** 2 + 1)
-    if layer.kind == DWCONV:
-        return p["channels"] * (p["kernel"] ** 2 + 1)
-    if layer.kind == FC:
-        return p["units"] * (p["in_features"] + 1)
-    if layer.kind == BNORM:
-        return 2 * p["channels"]
-    return 0
+    return sum(math.prod(shape) for shape in weight_shapes(layer).values())
 
 
 def model_param_bytes(model, lo, hi, element_size=4):

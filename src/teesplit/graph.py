@@ -19,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+from .tensors import read_json, write_text_atomic
+
 ELEMENT_SIZE = 4  # bytes per tensor element on the wire
 
 # layer kinds
@@ -247,6 +249,25 @@ def _infer_shape(layer, in_shape, shape_of):
     raise GraphError(f"layer {name!r}: unknown kind {kind!r}")
 
 
+def weight_shapes(layer):
+    """Shape of each weight array the layer carries, by name; {} for kinds
+    without parameters. Conv, depthwise conv and FC carry ``w``, output
+    channels or units first, so one output element reads ``prod(w[1:])``
+    weights, and a bias ``b``; batch norm carries ``gamma`` and ``beta``."""
+    p = layer.params
+    if layer.kind == CONV:
+        k, o = p["kernel"], p["out_channels"]
+        return {"w": (o, p["in_channels"], k, k), "b": (o,)}
+    if layer.kind == DWCONV:
+        k, c = p["kernel"], p["channels"]
+        return {"w": (c, k, k), "b": (c,)}
+    if layer.kind == FC:
+        return {"w": (p["units"], p["in_features"]), "b": (p["units"],)}
+    if layer.kind == BNORM:
+        return {"gamma": (p["channels"],), "beta": (p["channels"],)}
+    return {}
+
+
 def _refs(layer):
     """(field, index) for every layer this layer names as an operand:
     ``source``, then ``skip_source`` / ``map_source`` when present."""
@@ -409,15 +430,6 @@ def enumerate_partitions(model):
     return out
 
 
-def _shift_ref(idx, b, owner, model):
-    if idx >= b:
-        return idx - b
-    if idx == b - 1:
-        return -1
-    raise GraphError(f"model {model.name!r}: layer {owner!r} reaches across "
-                     f"the requested boundary")
-
-
 def split(model, boundary_label):
     """Cut the model at a named boundary into (enclave graph, accelerator
     graph). Composing the two reproduces the original computation; the only
@@ -428,18 +440,14 @@ def split(model, boundary_label):
         [(lab, bd) for lab, bd in model.partition_points if bd < b],
         tuple(u for u in model.units if u.end <= b))
 
+    # the tail's references move down by b: the exposed map (layer b-1)
+    # becomes the tail's input -1, and anything earlier falls below -1,
+    # which the tail's make_graph rejects
     tail_layers = []
-    for i in range(b, len(model.layers)):
-        layer = model.layers[i]
-        params = dict(layer.params)
-        for key in ("skip_source", "map_source"):
-            if key in params:
-                params[key] = _shift_ref(params[key], b, layer.name, model)
-        src = layer.source
-        if src is not None:
-            src = _shift_ref(src, b, layer.name, model)
-            if src == i - b - 1:
-                src = None
+    for j, layer in enumerate(model.layers[b:]):
+        params = {key: val - b if key in ("skip_source", "map_source") else val
+                  for key, val in layer.params.items()}
+        src = None if layer.source in (None, b + j - 1) else layer.source - b
         tail_layers.append(replace(layer, params=params, source=src))
     tail = make_graph(
         f"{model.name}#accelerator", model.layers[b - 1].output_shape,
@@ -515,14 +523,8 @@ def model_from_json(doc):
 
 
 def save_model(path, model):
-    from .tensors import write_text_atomic
     write_text_atomic(path, json.dumps(model_to_json(model), indent=2) + "\n")
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"unreadable model document {path}: {exc}") from None
-    return model_from_json(doc)
+    return model_from_json(read_json(path, GraphError, "model document"))

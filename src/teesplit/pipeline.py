@@ -12,8 +12,6 @@ the boundary feature map and the non-critical partition.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +19,7 @@ from . import engine
 from .architectures import resolve_model
 from .costs import predict
 from .graph import ELEMENT_SIZE, ModelGraph, enumerate_partitions, split
+from .tensors import csv_text
 
 ZONE_TEE = "tee"
 ZONE_UNTRUSTED = "untrusted"
@@ -82,12 +81,9 @@ class TrustLedger:
                    if ev.artifact == artifact and ev.zone == ZONE_UNTRUSTED)
 
     def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["step", "zone", "artifact", "bytes"])
-        for ev in self.events:
-            w.writerow([ev.step, ev.zone, ev.artifact, ev.nbytes])
-        return buf.getvalue()
+        return csv_text(["step", "zone", "artifact", "bytes"],
+                        ([ev.step, ev.zone, ev.artifact, ev.nbytes]
+                         for ev in self.events))
 
 
 @dataclass(frozen=True)

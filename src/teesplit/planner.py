@@ -14,12 +14,11 @@ exists as an independent check on ``plan``.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 from .costs import full_enclave_breakdown, predict
 from .privacy import DEFAULT_SLACK, DEFAULT_THRESHOLD, feasible_boundaries
+from .tensors import csv_text
 
 
 class PlanError(ValueError):
@@ -146,18 +145,10 @@ def brute_force_plan(req):
 def plan_table_csv(plans):
     """Summary table, one row per plan: partition point count, chosen point,
     and the runtime comparison against the full-enclave baseline."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["model", "partition_points", "optimal_point",
-                "full_enclave_seconds", "partitioned_seconds",
-                "speedup_percent"])
-    for p in plans:
-        w.writerow([
-            p.model_name,
-            len(p.alternatives),
-            p.chosen_boundary if p.feasible else "full-enclave",
-            format(p.full_enclave_seconds, ".10g"),
-            format(p.breakdown.total_seconds, ".10g"),
-            format(100.0 * p.breakdown.speedup_vs_full_enclave, ".10g"),
-        ])
-    return buf.getvalue()
+    return csv_text(
+        ["model", "partition_points", "optimal_point", "full_enclave_seconds",
+         "partitioned_seconds", "speedup_percent"],
+        ([p.model_name, len(p.alternatives),
+          p.chosen_boundary if p.feasible else "full-enclave",
+          p.full_enclave_seconds, p.breakdown.total_seconds,
+          100.0 * p.breakdown.speedup_vs_full_enclave] for p in plans))

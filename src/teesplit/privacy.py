@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import engine
 from .graph import mix_seed
-from .tensors import require_tensor
+from .tensors import csv_text, require_tensor
 
 DEFAULT_THRESHOLD = 0.2
 DEFAULT_SLACK = 0.05
@@ -249,13 +249,10 @@ def evaluate_privacy(model, images, cfg=AttackConfig(), params=SsimParams(),
 # CSV round trip
 
 def report_to_csv(report):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["boundary", "label", "mean_ssim", "n_samples", "below_threshold"])
-    for i, (label, mean, samples) in enumerate(report.per_point, start=1):
-        w.writerow([i, label, format(mean, ".10g"), len(samples),
-                    int(mean <= report.threshold)])
-    return buf.getvalue()
+    return csv_text(
+        ["boundary", "label", "mean_ssim", "n_samples", "below_threshold"],
+        ([i, label, mean, len(samples), int(mean <= report.threshold)]
+         for i, (label, mean, samples) in enumerate(report.per_point, start=1)))
 
 
 def scores_from_csv(text):

@@ -5,11 +5,15 @@ a little-endian binary layout: an 8-byte unsigned rank, one 8-byte unsigned
 extent per dimension, then the elements as 4-byte floats in row-major order.
 Images may also be loaded from 8-bit PGM/PPM files (plain or raw), scaled to
 [0, 1]. All file writes go through a temp-file-then-rename so readers never
-observe partial output.
+observe partial output. Text files are read as UTF-8, and every CSV table the
+package writes comes from ``csv_text``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import os
 import struct
@@ -52,6 +56,37 @@ def write_bytes_atomic(path, data):
 
 def write_text_atomic(path, text):
     write_bytes_atomic(path, text.encode("utf-8"))
+
+
+def read_text(path, error, what):
+    """Contents of a UTF-8 text file. Bytes that do not decode raise
+    ``error`` naming the ``what`` and the path; a missing file raises OSError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"unreadable {what} {path}: {exc}") from None
+
+
+def read_json(path, error, what):
+    """Parsed JSON document of a UTF-8 file; undecodable bytes or malformed
+    JSON raise ``error`` as ``read_text`` does."""
+    try:
+        return json.loads(read_text(path, error, what))
+    except json.JSONDecodeError as exc:
+        raise error(f"unreadable {what} {path}: {exc}") from None
+
+
+def csv_text(header, rows):
+    """The package's CSV table format: every line ends in a bare newline,
+    float cells carry 10 significant digits, other cells print as ``str``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([format(v, ".10g") if isinstance(v, float) else v
+                    for v in row])
+    return buf.getvalue()
 
 
 def tensor_to_bytes(x):
@@ -118,8 +153,9 @@ def load_image(path):
     magic = data[:2]
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         arr = tensor_from_bytes(data)
-        if arr.ndim != 3:
-            raise TensorError(f"{path}: expected a C x H x W image tensor")
+        if arr.ndim != 3 or arr.size == 0:
+            raise TensorError(f"{path}: expected a non-empty C x H x W image "
+                              f"tensor, got shape {arr.shape}")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise TensorError(f"{path}: image values must lie in [0, 1]")
         return arr
@@ -159,7 +195,7 @@ def load_image(path):
         except (StopIteration, ValueError):
             raise TensorError(f"{path}: bad plain PNM pixel data") from None
         vals = np.asarray(vals, dtype=np.int64)
-        if vals.min() < 0 or vals.max() > maxval:
-            raise TensorError(f"{path}: plain PNM sample out of range")
+    if vals.min() < 0 or vals.max() > maxval:
+        raise TensorError(f"{path}: PNM sample out of range 0..{maxval}")
     img = vals.astype(np.float64).reshape(height, width, channels) / maxval
     return require_tensor(np.moveaxis(img, 2, 0))

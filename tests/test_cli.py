@@ -327,3 +327,78 @@ def test_console_script_installed(tmp_path):
     script = shutil.which("teesplit")
     if script:
         run_command([script, *args])
+
+
+def test_table_bytes_pinned(capsys):
+    # the float cells carry 10 significant digits, labels are CSV-quoted
+    # and every line ends in "\n"
+    report = ts.PrivacyReport(
+        model_name="m",
+        per_point=(("L1", 0.8, (0.7, 0.9)),
+                   ("L 2", 1 / 3, (0.2, 0.4666666666666667, 1 / 3)),
+                   ("L3,x", np.float64(0.2), (0.2,)),
+                   ("L4", 1.2345678901234e-05, (1e-05,))),
+        threshold=0.2, optimal_boundary=None)
+    assert ts.report_to_csv(report) == (
+        "boundary,label,mean_ssim,n_samples,below_threshold\n"
+        "1,L1,0.8,2,0\n"
+        "2,L 2,0.3333333333,3,0\n"
+        '3,"L3,x",0.2,1,1\n'
+        "4,L4,1.23456789e-05,1,1\n")
+
+    model = ts.build_architecture("resnet50", (3, 224, 224))
+    profile = ts.builtin_profile("resnet50")
+    plans = [ts.plan(ts.PlanRequest(
+        model_name=model.name, profile=profile,
+        scores=tuple(zip(model.labels(), scores)),
+        assignments=tuple(ts.enumerate_partitions(model))))
+        for scores in ((0.9, 0.3, 0.19, 0.1, 0.05), (0.9,) * 5)]
+    assert ts.plan_table_csv(plans) == (
+        "model,partition_points,optimal_point,full_enclave_seconds,"
+        "partitioned_seconds,speedup_percent\n"
+        "resnet50,5,Layer 3,4.02,3.04,24.37810945\n"
+        "resnet50,5,full-enclave,4.02,4.02,0\n")
+
+    assert run(["predict", "--model", "resnet50",
+                "--profile", "builtin:resnet50"]) == 0
+    assert capsys.readouterr().out == (
+        "boundary_label,enclave_seconds,transfer_seconds,accelerator_seconds,"
+        "total_seconds,speedup_percent\n"
+        "Layer 1,0.1933345247,0.03142857143,0.04854432668,0.2733074228,"
+        "93.20130789\n"
+        "Layer 2,1.287925301,0.1,0.04030282613,1.428228127,64.47193713\n"
+        "Layer 3,2.957985844,0.05428571429,0.02772844201,3.04,24.37810945\n"
+        "Layer 4,3.558697539,0.03142857143,0.009873889416,3.6,10.44776119\n"
+        "Layer 5,4.018835261,0.02,2.493051428e-05,4.038860191,-0.4691589841\n")
+
+    assert run(["enumerate", "--model", "resnet50",
+                "--input-shape", "3x64x64"]) == 0
+    assert capsys.readouterr().out == (
+        "label,boundary,exposed_shape,exposed_bytes,enclave,accelerator\n"
+        "Layer 1,4,64x16x16,65536,1 conv,48 conv + 1 FC\n"
+        "Layer 2,36,256x16x16,262144,10 conv,39 conv + 1 FC\n"
+        "Layer 3,78,512x8x8,131072,22 conv,27 conv + 1 FC\n"
+        "Layer 4,140,1024x4x4,65536,40 conv,9 conv + 1 FC\n"
+        "Layer 5,172,2048x2x2,32768,49 conv,1 FC\n")
+
+
+def test_undecodable_input_files_exit_one(tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_bytes(b'{"name": "\xff"}')
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(b"label,total_seconds\n\xff,1\n")
+    toy = ["--model", "toy3", "--input-shape", "1x16x16"]
+    for args in (["enumerate", "--model", str(bad_json)],
+                 ["predict", *toy, "--profile", str(bad_json)],
+                 ["calibrate", *toy, "--measurements", str(bad_csv),
+                  "--full-enclave", "1.0", "--full-accelerator", "0.05"],
+                 ["plan", *toy, "--profile", "builtin:vgg16",
+                  "--privacy", str(bad_csv)],
+                 ["report", "--privacy", str(bad_csv),
+                  "--out", str(tmp_path / "r.svg")]):
+        assert run(args) == 1, args[0]
+        captured = capsys.readouterr()
+        assert captured.out == "", args[0]
+        assert captured.err.startswith("error: "), args[0]
+        assert captured.err.count("\n") == 1, args[0]
+        assert "Traceback" not in captured.err, args[0]

@@ -76,6 +76,27 @@ def test_param_count_oracle():
 # ---------------------------------------------------------------------------
 # forward semantics, hand oracles
 
+@pytest.fixture
+def nonzero_bias(monkeypatch):
+    """Draws every conv, depthwise-conv and FC bias non-zero for one test.
+
+    The shipped biases are all zero, so without this no oracle can tell a
+    forward pass that adds the bias from one that skips it."""
+    materialize = engine._materialize
+
+    def biased(layer):
+        w = materialize(layer)
+        if "b" in w:
+            w["b"] = np.random.default_rng(6).uniform(0.5, 1.5, w["b"].shape)
+        return w
+
+    ts.clear_weight_cache()
+    monkeypatch.setattr(engine, "_materialize", biased)
+    assert ts.layer_weights(spec("p", ts.FC, in_features=2, units=3))["b"].min() > 0
+    yield
+    ts.clear_weight_cache()
+
+
 def test_fc_forward_matches_matrix_math():
     layers = [spec("fl", ts.FLATTEN), spec("fc", ts.FC, in_features=12,
                                            units=5, seed=7)]
@@ -148,6 +169,18 @@ def test_dwconv_forward_matches_loop_oracle():
         got = ts.forward(m, x)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12), case
         assert got.flags.c_contiguous and not np.shares_memory(got, x), case
+
+
+def test_fc_bias_matches_matrix_math(nonzero_bias):
+    test_fc_forward_matches_matrix_math()
+
+
+def test_conv_bias_matches_loop_oracle(nonzero_bias):
+    test_conv_forward_matches_loop_oracle()
+
+
+def test_dwconv_bias_matches_loop_oracle(nonzero_bias):
+    test_dwconv_forward_matches_loop_oracle()
 
 
 def test_conv_backward_is_forward_adjoint():

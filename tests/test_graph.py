@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -102,7 +103,12 @@ def test_skip_reference_may_not_cross_boundary():
     with pytest.raises(ts.GraphError):
         ts.make_graph("m", (3, 6, 6), layers, [("A", 2)])
     # boundary at 1 keeps the whole residual block together downstream
-    ts.make_graph("m", (3, 6, 6), layers, [("A", 1)])
+    m = ts.make_graph("m", (3, 6, 6), layers, [("A", 1)])
+    # a hand-built graph can carry the cut make_graph refuses: the split's
+    # tail then names a layer before its own input
+    forged = dataclasses.replace(m, partition_points=(("A", 2),))
+    with pytest.raises(ts.GraphError, match="skip_source -2 must name an earlier"):
+        ts.split(forged, "A")
 
 
 def test_split_shifts_sources_and_preserves_layers(toy4):

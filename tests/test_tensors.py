@@ -119,6 +119,11 @@ def test_image_tensor_fallback(tmp_path):
     ts.save_tensor(b, arr.ravel())
     with pytest.raises(ts.TensorError):
         ts.load_image(b)
+    # a 1 x 0 x 5 tensor: rank and extents, no payload
+    e = tmp_path / "empty.bin"
+    e.write_bytes(struct.pack("<4Q", 3, 1, 0, 5))
+    with pytest.raises(ts.TensorError, match="empty.bin"):
+        ts.load_image(e)
 
 
 def test_image_tensor_range_checked(tmp_path):
@@ -126,6 +131,13 @@ def test_image_tensor_range_checked(tmp_path):
     ts.save_tensor(path, np.full((1, 2, 2), 9.0))
     with pytest.raises(ts.TensorError):
         ts.load_image(path)
+
+
+def test_raw_pnm_sample_above_maxval_rejected(tmp_path):
+    p = tmp_path / "hot.pgm"
+    p.write_bytes(b"P5 2 1 100\n" + bytes([50, 200]))
+    with pytest.raises(ts.TensorError, match="hot.pgm"):
+        ts.load_image(p)
 
 
 def test_truncated_pgm_rejected(tmp_path):
