@@ -11,6 +11,16 @@ row-major order, so identical seeds and inputs reproduce bitwise identical
 outputs, and running a split model's two halves back to back is bitwise
 identical to running the unsplit chain.
 
+The forward pass streams its memory. Columns are built and multiplied in
+blocks of whole output rows of at most ``_COLS_BLOCK_BYTES`` (8 MB; one row
+when a row alone is larger), each product written into its slice of the
+preallocated output. The budget sits below glibc's 32 MB ceiling on its
+dynamic mmap threshold, so blocks are recycled from the heap instead of
+being page-faulted fresh on every call; a layer whose columns fit is a
+single block. ``forward`` also drops each activation after the last layer
+that reads it. ``forward_until``, ``input_gradient`` and the attack keep
+every activation and aux for the backward pass.
+
 Subgradient conventions at kinks: ReLU propagates zero at exactly zero;
 max pooling routes the gradient to the window argmax, ties broken toward
 the lowest flat index.
@@ -32,12 +42,16 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, FC, FLATTEN, GAP,
-                    MAXPOOL, RELU, SIGMOID, SWISH, weight_shapes)
+                    MAXPOOL, RELU, SIGMOID, SWISH, _refs, weight_shapes)
 from .tensors import require_tensor
 
 
 class EngineError(ValueError):
     """Raised for invalid inputs to the execution engine."""
+
+
+# bytes of im2col columns per forward block (see the module docstring)
+_COLS_BLOCK_BYTES = 8 << 20
 
 
 _WEIGHTS = {}
@@ -123,15 +137,20 @@ def _col2im(gwin, x_shape, s, pad):
 def _conv_fwd(layer, x):
     p = layer.params
     w = layer_weights(layer)
+    o = p["out_channels"]
     win = _windows(x, p["kernel"], p["stride"], p["padding"])
     c, oh, ow, k, _ = win.shape
-    # (C*k*k, OH*OW) columns: each copied run is a whole output row, and a
-    # 1x1 stride-1 unpadded view is already contiguous, so nothing is copied
-    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(
-        c * k * k, oh * ow)
-    out = w["w"].reshape(p["out_channels"], -1) @ cols
+    wmat = w["w"].reshape(o, -1)
+    out = np.empty((o, oh * ow))
+    rows = max(1, _COLS_BLOCK_BYTES // (c * k * k * ow * 8))
+    for r in range(0, oh, rows):
+        # (C*k*k, rows*OW) columns: each copied run is a whole output row,
+        # and a one-block 1x1 stride-1 unpadded view is already contiguous
+        cols = np.ascontiguousarray(win[:, r:r + rows].transpose(0, 3, 4, 1, 2))
+        cols = cols.reshape(c * k * k, -1)
+        np.matmul(wmat, cols, out=out[:, r * ow:r * ow + cols.shape[1]])
     out += w["b"][:, None]
-    return out.reshape(p["out_channels"], oh, ow)
+    return out.reshape(o, oh, ow)
 
 
 def _conv_bwd(layer, g, x):
@@ -270,10 +289,33 @@ def _backward_layer(layer, g, x, aux, act_of):
     raise EngineError(f"layer {layer.name!r}: unknown kind {kind!r}")
 
 
-def _run(model, x, upto):
-    """Execute layers [0, upto), returning per-layer activations and aux."""
+def _dead_after(model, upto):
+    """dead[i]: the activations of layers [0, upto - 1) that layer i is the
+    last to read; one that no layer reads dies where it is made."""
+    last = list(range(upto - 1))
+    for i, layer in enumerate(model.layers[:upto]):
+        reads = [ref for _, ref in _refs(layer)]
+        if layer.source is None:
+            reads.append(i - 1)
+        for ref in reads:
+            if ref >= 0:  # not the graph input
+                last[ref] = i
+    dead = [[] for _ in range(upto)]
+    for j, i in enumerate(last):
+        dead[i].append(j)
+    return dead
+
+
+def _run(model, x, upto, release=False):
+    """Execute layers [0, upto), returning per-layer activations and aux.
+
+    With ``release`` (only ``forward`` sets it) each activation and aux is
+    dropped after the last layer that reads the activation, so only the last
+    entry of each list is kept."""
     acts = []
     auxs = []
+    if release:
+        dead = _dead_after(model, upto)
 
     def act_of(idx):
         return x if idx == -1 else acts[idx]
@@ -284,13 +326,16 @@ def _run(model, x, upto):
         out, aux = _forward_layer(layer, act_of(src), act_of)
         acts.append(out)
         auxs.append(aux)
+        if release:
+            for j in dead[i]:
+                acts[j] = auxs[j] = None
     return acts, auxs
 
 
 def forward(model, x):
     """Run the whole graph; returns the final activation."""
     x = require_tensor(x, shape=model.input_shape, name="model input")
-    acts, _ = _run(model, x, len(model.layers))
+    acts, _ = _run(model, x, len(model.layers), release=True)
     out = acts[-1]
     if not np.all(np.isfinite(out)):
         raise EngineError(f"model {model.name!r}: non-finite output")

@@ -5,8 +5,9 @@ a little-endian binary layout: an 8-byte unsigned rank, one 8-byte unsigned
 extent per dimension, then the elements as 4-byte floats in row-major order.
 Images may also be loaded from 8-bit PGM/PPM files (plain or raw), scaled to
 [0, 1]. All file writes go through a temp-file-then-rename so readers never
-observe partial output. Text files are read as UTF-8, and every CSV table the
-package writes comes from ``csv_text``.
+observe partial output. Text files are read as UTF-8 after an optional
+byte-order mark, and every CSV table the package writes comes from
+``csv_text``.
 """
 
 from __future__ import annotations
@@ -59,10 +60,11 @@ def write_text_atomic(path, text):
 
 
 def read_text(path, error, what):
-    """Contents of a UTF-8 text file. Bytes that do not decode raise
-    ``error`` naming the ``what`` and the path; a missing file raises OSError."""
+    """Contents of a UTF-8 text file, without a leading byte-order mark.
+    Bytes that do not decode raise ``error`` naming the ``what`` and the
+    path; a missing file raises OSError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"unreadable {what} {path}: {exc}") from None
@@ -91,9 +93,13 @@ def csv_text(header, rows):
 
 def tensor_to_bytes(x):
     x = require_tensor(x)
+    with np.errstate(over="ignore"):
+        body = x.astype("<f4")
+    if not np.all(np.isfinite(body)):
+        raise TensorError("tensor has elements beyond the float32 range")
     head = struct.pack("<Q", x.ndim)
     head += struct.pack(f"<{x.ndim}Q", *x.shape)
-    return head + x.astype("<f4").tobytes(order="C")
+    return head + body.tobytes(order="C")
 
 
 def tensor_from_bytes(data):

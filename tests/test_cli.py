@@ -230,6 +230,42 @@ def test_simulate_writes_tensor_and_ledger(tmp_path, capsys):
     assert ledger.read_text().startswith("step,zone,artifact,bytes\n")
 
 
+def test_simulate_output_beyond_float32_exits_one(tmp_path, capsys):
+    big = tmp_path / "big.bin"
+    ts.save_tensor(big, np.full((3, 32, 32), 3e38))
+    out_t, ledger = tmp_path / "out.bin", tmp_path / "ledger.csv"
+    assert run(["simulate", "--model", "resnet50", "--input-shape", "3x32x32",
+                "--boundary", "Layer 3", "--profile", "builtin:resnet50",
+                "--input", str(big), "--out-tensor", str(out_t),
+                "--ledger", str(ledger)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not out_t.exists() and not ledger.exists()
+
+
+def test_bom_prefixed_csv_inputs_read_as_without(tmp_path, capsys):
+    toy = ["--model", "toy3", "--input-shape", "1x16x16"]
+    meas = b"label,total_seconds\nL1,0.3\nL3,0.9\n"
+    priv = (b"boundary,label,mean_ssim,n_samples,below_threshold\n"
+            b"1,L1,0.8,2,0\n2,L2,0.3,2,0\n3,L3,0.1,2,1\n")
+    prof, svg = tmp_path / "prof.json", tmp_path / "chart.svg"
+    seen = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / "meas.csv").write_bytes(bom + meas)
+        (tmp_path / "privacy.csv").write_bytes(bom + priv)
+        assert run(["calibrate", *toy, "--measurements",
+                    str(tmp_path / "meas.csv"), "--full-enclave", "1.0",
+                    "--full-accelerator", "0.05", "--out", str(prof)]) == 0
+        assert run(["plan", *toy, "--profile", str(prof), "--privacy",
+                    str(tmp_path / "privacy.csv"), "--threshold", "0.2"]) == 0
+        assert run(["report", "--privacy", str(tmp_path / "privacy.csv"),
+                    "--threshold", "0.2", "--out", str(svg)]) == 0
+        seen.append((prof.read_bytes(), capsys.readouterr(), svg.read_bytes()))
+    assert seen[0] == seen[1]
+
+
 def test_report_svg(tmp_path, capsys):
     priv = tmp_path / "privacy.csv"
     priv.write_text("boundary,label,mean_ssim,n_samples,below_threshold\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,10 +111,11 @@ def test_fc_forward_matches_matrix_math():
 
 
 # (in_channels, out_channels, H, W, kernel, stride, padding): 1x1 stride 1
-# unpadded is the lowering's no-copy path, 7x7/2 pad 3 the ResNet stem
+# unpadded is the lowering's no-copy path, 7x7/2 pad 3 the ResNet stem, and
+# the 90x90 case's columns exceed one block (80 rows, then 10)
 CONV_CASES = [(2, 3, 5, 5, 3, 2, 1), (4, 5, 6, 6, 1, 1, 0),
               (4, 5, 7, 7, 1, 2, 0), (3, 4, 15, 15, 7, 2, 3),
-              (3, 2, 6, 9, 3, 1, 1)]
+              (3, 2, 6, 9, 3, 1, 1), (16, 2, 90, 90, 3, 1, 1)]
 # (channels, H, W, kernel, stride, padding)
 DWCONV_CASES = [(3, 4, 4, 3, 1, 1), (3, 9, 7, 5, 2, 2)]
 
@@ -169,6 +172,34 @@ def test_dwconv_forward_matches_loop_oracle():
         got = ts.forward(m, x)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12), case
         assert got.flags.c_contiguous and not np.shares_memory(got, x), case
+
+
+# laid out as CONV_CASES, with columns spanning several blocks: rows dividing
+# OH evenly (2 x 65), a ragged last block (82 rows, then 6), stride 2 with
+# padding, and 1x1. Every block is a multiple of 8 columns wide, and so is
+# the whole: OpenBLAS computes a last partial group of columns differently
+# depending on the width of the product it ends
+BLOCKED_CONV_CASES = [(16, 4, 130, 112, 3, 1, 1), (16, 4, 88, 88, 3, 1, 1),
+                      (16, 3, 160, 160, 5, 2, 2), (80, 4, 128, 128, 1, 1, 0)]
+
+
+def test_blocked_conv_matches_whole_column_product(nonzero_bias):
+    for n, case in enumerate(BLOCKED_CONV_CASES):
+        c, o, h, w_, k, s, pad = case
+        shape, layer = conv_layer(case, 20 + n)
+        m = graph(shape, [layer])
+        x = np.random.default_rng(30 + n).standard_normal(shape)
+        win = sliding_window_view(np.pad(x, ((0, 0), (pad, pad), (pad, pad))),
+                                  (k, k), axis=(1, 2))[:, ::s, ::s]
+        oh, ow = win.shape[1:3]
+        cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(
+            c * k * k, oh * ow)
+        assert cols.nbytes > engine._COLS_BLOCK_BYTES, case
+        w = ts.layer_weights(m.layers[0])
+        want = w["w"].reshape(o, -1) @ cols + w["b"][:, None]
+        got = ts.forward(m, x)
+        assert np.array_equal(got, want.reshape(o, oh, ow)), case
+        assert got.flags.c_contiguous, case
 
 
 def test_fc_bias_matches_matrix_math(nonzero_bias):
@@ -287,6 +318,39 @@ def test_forward_shapes_match_inference():
 def test_forward_bitwise_deterministic(toy4):
     x = np.random.default_rng(1).uniform(0, 1, (1, 16, 16))
     assert ts.forward(toy4, x).tobytes() == ts.forward(toy4, x).tobytes()
+
+
+def test_forward_releases_dead_activations_bitwise():
+    # both read skip_source / map_source operands several layers later, so
+    # an activation dropped too early would show
+    for name in ("resnet50", "efficientnetb0"):
+        m = ts.build_architecture(name, input_shape=(3, 64, 64))
+        x = np.random.default_rng(4).uniform(0, 1, m.input_shape)
+        acts, auxs = engine._run(m, x, len(m.layers), release=True)
+        assert all(a is None for a in acts[:-1] + auxs[:-1]), name
+        kept, _ = engine._run(m, x, len(m.layers))
+        assert np.array_equal(acts[-1], kept[-1]), name
+        assert np.array_equal(ts.forward(m, x), kept[-1]), name
+
+
+def test_warm_forward_peak_memory_is_bounded():
+    # 8 conv/ReLU pairs at 16x128x128: keeping every activation and the
+    # whole column matrix peaks near 25 activation sizes, streaming near 11
+    layers = []
+    for i in range(8):
+        layers += [spec(f"c{i}", ts.CONV, in_channels=16 if i else 3,
+                        out_channels=16, kernel=3, stride=1, padding=1, seed=i),
+                   spec(f"r{i}", ts.RELU)]
+    m = graph((3, 128, 128), layers)
+    x = np.random.default_rng(6).uniform(0, 1, m.input_shape)
+    ts.forward(m, x)  # materialize the weights
+    tracemalloc.start()
+    try:
+        ts.forward(m, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 16 * 128 * 128 * 8, peak
 
 
 def test_maxpool_tie_routes_to_first_index():

@@ -39,6 +39,15 @@ def test_round_trip_exact_for_f32_representable():
     assert np.array_equal(back, arr)
 
 
+def test_values_beyond_float32_rejected():
+    f4max = float(np.finfo(np.float32).max)
+    edge = np.array([f4max, -f4max, 1.0])
+    assert np.array_equal(ts.tensor_from_bytes(ts.tensor_to_bytes(edge)), edge)
+    for big in (3.5e38, -1e300):
+        with pytest.raises(ts.TensorError, match="float32 range"):
+            ts.tensor_to_bytes(np.array([1.0, big]))
+
+
 def test_truncated_payload_rejected():
     arr = np.ones((2, 2))
     blob = ts.tensor_to_bytes(arr)
