@@ -27,6 +27,7 @@ from .architectures import resolve_model
 from .charts import sweep_chart_svg
 from .costs import (CalibrationError, builtin_profile, calibrate, load_profile,
                     predict, profile_to_json)
+from .engine import EngineError
 from .graph import GraphError, enumerate_partitions, model_to_json
 from .pipeline import LedgerViolationError, simulate_pipeline
 from .planner import PlanError, PlanRequest, plan, plan_table_csv
@@ -362,15 +363,17 @@ def main(argv=None):
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        return args.fn(args)
+        # the engine reports a non-finite result itself, as one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InversionDivergenceError, LedgerViolationError) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, TensorError, CalibrationError, PrivacyError,
-            PlanError, OSError) as exc:
+    except (GraphError, TensorError, EngineError, CalibrationError,
+            PrivacyError, PlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,9 +21,19 @@ single block. ``forward`` also drops each activation after the last layer
 that reads it. ``forward_until``, ``input_gradient`` and the attack keep
 every activation and aux for the backward pass.
 
+The backward pass of conv, depthwise conv and average pooling is one
+``_col2im``: each kernel offset's window gradients are placed on a zeroed
+padded plane of their own in a single strided assignment, and the k*k
+planes are summed offset by offset in row-major order from +0.0. The planes
+are built in blocks of whole channels of at most ``_PLANES_BLOCK_BYTES``
+(1 MB; one channel when a channel alone is larger).
+
 Subgradient conventions at kinks: ReLU propagates zero at exactly zero;
 max pooling routes the gradient to the window argmax, ties broken toward
-the lowest flat index.
+the lowest flat index. The forward keeps no argmax: it is a running
+``np.maximum`` over the offsets, and the backward recomputes the argmax
+from the kept input and sums each pixel's terms in window order with
+``np.bincount``.
 
 The inversion attack in ``privacy`` reuses prefix activations: each step's
 input gradient comes from the accepted candidate's kept activations.
@@ -39,7 +49,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, FC, FLATTEN, GAP,
                     MAXPOOL, RELU, SIGMOID, SWISH, _refs, weight_shapes)
@@ -52,6 +61,8 @@ class EngineError(ValueError):
 
 # bytes of im2col columns per forward block (see the module docstring)
 _COLS_BLOCK_BYTES = 8 << 20
+# bytes of _col2im's per-offset planes per channel block (see above)
+_PLANES_BLOCK_BYTES = 1 << 20
 
 
 _WEIGHTS = {}
@@ -118,19 +129,31 @@ def _windows(x, k, stride, pad, fill=0.0):
         xp[:, pad:pad + h, pad:pad + w] = x
     oh, ow = ((n - k) // stride + 1 for n in xp.shape[1:])
     sc, sh, sw = xp.strides
-    return as_strided(xp, (c, oh, ow, k, k),
-                      (sc, sh * stride, sw * stride, sh, sw), writeable=False)
+    win = np.ndarray((c, oh, ow, k, k), xp.dtype, xp, 0,
+                     (sc, sh * stride, sw * stride, sh, sw))
+    win.flags.writeable = False
+    return win
 
 
 def _col2im(gwin, x_shape, s, pad):
     """Adjoint of ``_windows``: scatter-add window gradients (C, OH, OW, k, k)
-    onto the padded input, offset by offset in row-major order; crop."""
+    onto the padded input, offset by offset in row-major order; crop. A sum
+    from +0.0 is never -0.0, so the planes' extra +0.0 terms change no bit."""
     c, oh, ow, k, _ = gwin.shape
     h, w = x_shape[1], x_shape[2]
-    xpg = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    for i in range(k):
-        for j in range(k):
-            xpg[:, i:i + s * oh:s, j:j + s * ow:s] += gwin[:, :, :, i, j]
+    hp, wp = h + 2 * pad, w + 2 * pad
+    xpg = np.empty((c, hp, wp))
+    cb = max(1, _PLANES_BLOCK_BYTES // (k * k * hp * wp * 8))
+    planes = np.zeros((k, k, min(cb, c), hp, wp))
+    p0, p1, p2, p3, p4 = planes.strides
+    for c0 in range(0, c, cb):
+        n = min(cb, c - c0)
+        # window value (ch, y, x, i, j) lands on plane (i, j) at
+        # (ch, y*s + i, x*s + j); every block writes the same positions
+        np.ndarray((n, oh, ow, k, k), planes.dtype, planes, 0,
+                   (p2, s * p3, s * p4, p0 + p3, p1 + p4))[...] = gwin[c0:c0 + n]
+        np.add.reduce(planes[:, :, :n].reshape(k * k, n, hp, wp), axis=0,
+                      initial=0.0, out=xpg[c0:c0 + n])
     return xpg[:, pad:pad + h, pad:pad + w] if pad else xpg
 
 
@@ -185,6 +208,36 @@ def _dwconv_bwd(layer, g, x):
     return _col2im(gwin, x.shape, p["stride"], p["padding"])
 
 
+def _maxpool_fwd(layer, x):
+    p = layer.params
+    k = p["kernel"]
+    win = _windows(x, k, p["stride"], p.get("padding", 0), fill=-np.inf)
+    out = win[:, :, :, 0, 0].copy()
+    # on a tie np.maximum returns its second operand: the earlier offset
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(win[:, :, :, i, j], out, out=out)
+    return out
+
+
+def _maxpool_bwd(layer, g, x):
+    """Route each window's gradient to its first argmax, recomputed from the
+    input; ``bincount`` sums the terms of a pixel in window order from zero."""
+    p = layer.params
+    k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
+    win = _windows(x, k, s, pad, fill=-np.inf)
+    c, oh, ow = win.shape[:3]
+    hp, wp = x.shape[1] + 2 * pad, x.shape[2] + 2 * pad
+    idx = np.argmax(win.reshape(c, oh, ow, k * k), axis=-1)
+    # flat padded index: window corner plus the argmax's offset in the window
+    corner = np.arange(c * hp * wp).reshape(c, hp, wp)[:, :s * oh:s, :s * ow:s]
+    offset = (np.arange(k)[:, None] * wp + np.arange(k)).ravel()
+    xpg = np.bincount((corner + offset[idx]).ravel(), weights=g.ravel(),
+                      minlength=c * hp * wp).reshape(c, hp, wp)
+    return xpg[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] if pad else xpg
+
+
 def _sigmoid(x):
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
@@ -214,12 +267,7 @@ def _forward_layer(layer, x, act_of):
         expand = (slice(None),) + (None,) * (x.ndim - 1)
         return x * w["gamma"][expand] + w["beta"][expand], None
     if kind == MAXPOOL:
-        k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
-        win = _windows(x, k, s, pad, fill=-np.inf)
-        flat = win.reshape(win.shape[:3] + (k * k,))
-        idx = np.argmax(flat, axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return np.ascontiguousarray(out), idx
+        return _maxpool_fwd(layer, x), None
     if kind == AVGPOOL:
         k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
         win = _windows(x, k, s, pad)
@@ -260,16 +308,7 @@ def _backward_layer(layer, g, x, aux, act_of):
         expand = (slice(None),) + (None,) * (x.ndim - 1)
         return g * gamma[expand], []
     if kind == MAXPOOL:
-        k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
-        c, oh, ow = g.shape
-        idx = aux
-        xpg = np.zeros((c, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad))
-        ci, oi, oj = np.indices((c, oh, ow))
-        rows = oi * s + idx // k
-        cols = oj * s + idx % k
-        np.add.at(xpg, (ci, rows, cols), g)
-        out = xpg[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] if pad else xpg
-        return out, []
+        return _maxpool_bwd(layer, g, x), []
     if kind == AVGPOOL:
         k = p["kernel"]
         gwin = np.broadcast_to((g / (k * k))[..., None, None], g.shape + (k, k))

@@ -245,6 +245,35 @@ def test_simulate_output_beyond_float32_exits_one(tmp_path, capsys):
     assert not out_t.exists() and not ledger.exists()
 
 
+@pytest.mark.filterwarnings("error")  # no numpy warning precedes the error
+def test_non_finite_engine_results_exit_one(tmp_path, capsys):
+    # 1060 chained doublings: 1e30 overflows past the cut at 530, and an
+    # image of ones overflows before the cut at 1050
+    n = 1060
+    doc = {"name": "dbl", "input_shape": [1, 4, 4],
+           "layers": [{"name": f"a{i}", "kind": "Add", "skip_source": i - 1}
+                      for i in range(n)],
+           "partition_points": [{"label": "P", "boundary": 530},
+                                {"label": "Q", "boundary": 1050}]}
+    model = tmp_path / "dbl.json"
+    model.write_text(json.dumps(doc))
+    big = tmp_path / "x.bin"
+    ts.save_tensor(big, np.full((1, 4, 4), 1e30))
+    images = tmp_path / "imgs"
+    images.mkdir()
+    ts.save_tensor(images / "ones.bin", np.ones((1, 4, 4)))
+    for args in (["simulate", "--model", str(model), "--boundary", "P",
+                  "--profile", "builtin:vgg16", "--input", str(big)],
+                 ["attack", "--model", str(model), "--boundary", "Q",
+                  "--images", str(images), "--steps", "3"]):
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "non-finite" in captured.err
+        assert captured.err.count("\n") == 1
+
+
 def test_bom_prefixed_csv_inputs_read_as_without(tmp_path, capsys):
     toy = ["--model", "toy3", "--input-shape", "1x16x16"]
     meas = b"label,total_seconds\nL1,0.3\nL3,0.9\n"

@@ -363,6 +363,50 @@ def test_maxpool_tie_routes_to_first_index():
     assert np.array_equal(g, want)
 
 
+def _maxpool_oracle(x, g, k, s, pad):
+    """Max pooling as argmax, take_along_axis and np.add.at: the forward
+    output and the input gradient of cotangent ``g``."""
+    h, w = x.shape[1:]
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    flat = win.reshape(win.shape[:3] + (k * k,))
+    idx = np.argmax(flat, axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    xpg = np.zeros(xp.shape)
+    ci, oi, oj = np.indices(idx.shape)
+    np.add.at(xpg, (ci, oi * s + idx // k, oj * s + idx % k), g)
+    return out, xpg[:, pad:pad + h, pad:pad + w]
+
+
+def test_maxpool_matches_argmax_oracle():
+    rng = np.random.default_rng(8)
+    signed_zeros = np.where(rng.random((2, 8, 8)) < 0.5, 0.0, -0.0)
+    cases = [
+        (rng.standard_normal((3, 8, 8)), 2, 2, 0),
+        # few distinct values: overlapping windows share their maximum
+        (rng.integers(0, 3, (3, 9, 9)).astype(np.float64), 3, 2, 1),
+        (np.full((2, 8, 8), 0.7), 2, 2, 0),
+        (np.full((2, 9, 9), 0.7), 3, 2, 1),
+        (signed_zeros, 2, 2, 0),
+        (signed_zeros, 3, 1, 1),
+        # all negative: the -inf padding must never win
+        (-rng.uniform(1.0, 2.0, (2, 7, 7)), 3, 2, 1),
+        (-rng.uniform(1.0, 2.0, (2, 7, 7)), 2, 2, 1),
+    ]
+    for x, k, s, pad in cases:
+        layers = [spec("p", ts.MAXPOOL, kernel=k, stride=s, padding=pad),
+                  spec("f", ts.FLATTEN)]
+        m = graph(x.shape, layers, points=[("P", 1)])
+        out = ts.forward_until(m, x, "P")
+        g = rng.standard_normal(out.shape)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        want_out, want_g = _maxpool_oracle(x, g, k, s, pad)
+        assert out.tobytes() == want_out.tobytes(), (k, s, pad)
+        got_g = ts.input_gradient(m, "P", x, g)
+        assert got_g.tobytes() == np.ascontiguousarray(want_g).tobytes(), \
+            (k, s, pad)
+
+
 def test_split_halves_share_weights_bitwise(toy4):
     head, tail = ts.split(toy4, "L2")
     merged = head.layers + tail.layers
@@ -409,22 +453,35 @@ def test_col2im_matches_scalar_scatter():
     # each pixel sums its window terms in row-major kernel-offset order,
     # starting from zero: the order the engine's gradients are pinned to
     rng = np.random.default_rng(6)
-    for k, stride, pad in [(3, 1, 1), (3, 2, 1), (2, 2, 0), (5, 2, 2)]:
-        x_shape = (2, 9, 7)
-        win = engine._windows(np.zeros(x_shape), k, stride, pad)
-        gwin = rng.standard_normal(win.shape)
-        c, oh, ow = win.shape[:3]
-        want = np.zeros((c, x_shape[1] + 2 * pad, x_shape[2] + 2 * pad))
-        for i in range(k):
-            for j in range(k):
-                for ch in range(c):
-                    for y in range(oh):
-                        for xx in range(ow):
-                            want[ch, y * stride + i, xx * stride + j] += \
-                                gwin[ch, y, xx, i, j]
-        want = want[:, pad:pad + x_shape[1], pad:pad + x_shape[2]]
-        got = engine._col2im(gwin, x_shape, stride, pad)
-        assert got.tobytes() == want.tobytes()
+    # enough channels that _col2im's planes span more than one block
+    blocked = engine._PLANES_BLOCK_BYTES // (5 * 5 * 13 * 11 * 8) + 1
+    assert blocked > 1
+    cases = [((2, 9, 7), 3, 1, 1), ((2, 9, 7), 3, 2, 1),
+             ((2, 9, 7), 2, 2, 0), ((2, 9, 7), 5, 2, 2),
+             ((blocked, 9, 7), 5, 2, 2),
+             ((2, 9, 7), 2, 3, 0)]  # rows 2, 5, 8, columns 2, 5, 6 get nothing
+    for negzero in (False, True):
+        for x_shape, k, stride, pad in cases:
+            win = engine._windows(np.zeros(x_shape), k, stride, pad)
+            if negzero:
+                gwin = np.full(win.shape, -0.0)
+                gwin[rng.random(win.shape) < 0.1] = 1.5
+            else:
+                gwin = rng.standard_normal(win.shape)
+            c, oh, ow = win.shape[:3]
+            want = np.zeros((c, x_shape[1] + 2 * pad, x_shape[2] + 2 * pad))
+            for i in range(k):
+                for j in range(k):
+                    for ch in range(c):
+                        for y in range(oh):
+                            for xx in range(ow):
+                                want[ch, y * stride + i, xx * stride + j] += \
+                                    gwin[ch, y, xx, i, j]
+            want = want[:, pad:pad + x_shape[1], pad:pad + x_shape[2]]
+            got = engine._col2im(gwin, x_shape, stride, pad)
+            assert got.tobytes() == want.tobytes(), (x_shape, k, stride, pad)
+            if negzero:  # a sum from +0.0 never ends at -0.0
+                assert not np.signbit(got).any()
 
 
 # ---------------------------------------------------------------------------
