@@ -19,7 +19,12 @@ dynamic mmap threshold, so blocks are recycled from the heap instead of
 being page-faulted fresh on every call; a layer whose columns fit is a
 single block. ``forward`` also drops each activation after the last layer
 that reads it. ``forward_until``, ``input_gradient`` and the attack keep
-every activation and aux for the backward pass.
+every activation for the backward pass.
+
+Activations, and the gradients of the backward pass, are held the way
+layers reference them: one slot per layer, then the graph input, so a
+reference r (-1 for the input) reads slot r. The backward pass reads
+nothing but those activations; Swish and Sigmoid recompute their sigmoid.
 
 The backward pass of conv, depthwise conv and average pooling is one
 ``_col2im``: each kernel offset's window gradients are placed on a zeroed
@@ -51,7 +56,8 @@ import math
 import numpy as np
 
 from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, FC, FLATTEN, GAP,
-                    MAXPOOL, RELU, SIGMOID, SWISH, _refs, weight_shapes)
+                    MAXPOOL, RELU, SIGMOID, SWISH, _refs, source_of,
+                    weight_shapes)
 from .tensors import require_tensor
 
 
@@ -197,7 +203,7 @@ def _dwconv_fwd(layer, x):
         for j in range(k):
             out += win[:, :, :, i, j] * w["w"][:, i, j, None, None]
     out += w["b"][:, None, None]
-    return out, None
+    return out
 
 
 def _dwconv_bwd(layer, g, x):
@@ -243,48 +249,45 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def _forward_layer(layer, x, act_of):
-    """Returns (output, aux) where aux holds whatever backward needs."""
+def _forward_layer(layer, x, acts):
+    """Output of one layer from its source ``x`` and, by reference, ``acts``."""
     kind = layer.kind
     p = layer.params
     if kind == CONV:
-        return _conv_fwd(layer, x), None
+        return _conv_fwd(layer, x)
     if kind == DWCONV:
         return _dwconv_fwd(layer, x)
     if kind == FC:
         w = layer_weights(layer)
-        return w["w"] @ x.reshape(-1) + w["b"], None
+        return w["w"] @ x.reshape(-1) + w["b"]
     if kind == RELU:
-        return np.maximum(x, 0.0), None
+        return np.maximum(x, 0.0)
     if kind == SWISH:
-        s = _sigmoid(x)
-        return x * s, s
+        return x * _sigmoid(x)
     if kind == SIGMOID:
-        s = _sigmoid(x)
-        return s, s
+        return _sigmoid(x)
     if kind == BNORM:
         w = layer_weights(layer)
         expand = (slice(None),) + (None,) * (x.ndim - 1)
-        return x * w["gamma"][expand] + w["beta"][expand], None
+        return x * w["gamma"][expand] + w["beta"][expand]
     if kind == MAXPOOL:
-        return _maxpool_fwd(layer, x), None
+        return _maxpool_fwd(layer, x)
     if kind == AVGPOOL:
         k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
         win = _windows(x, k, s, pad)
-        return np.ascontiguousarray(win.mean(axis=(-2, -1))), None
+        return np.ascontiguousarray(win.mean(axis=(-2, -1)))
     if kind == GAP:
-        return x.mean(axis=(1, 2), keepdims=True), None
+        return x.mean(axis=(1, 2), keepdims=True)
     if kind == ADD:
-        return x + act_of(p["skip_source"]), None
+        return x + acts[p["skip_source"]]
     if kind == CMUL:
-        u = act_of(p["map_source"])
-        return u * x.reshape(-1)[:, None, None], None
+        return acts[p["map_source"]] * x.reshape(-1)[:, None, None]
     if kind == FLATTEN:
-        return x.reshape(-1), None
+        return x.reshape(-1)
     raise EngineError(f"layer {layer.name!r}: unknown kind {kind!r}")
 
 
-def _backward_layer(layer, g, x, aux, act_of):
+def _backward_layer(layer, g, x, acts):
     """Returns (grad wrt input, [(ref_index, grad) for extra operands])."""
     kind = layer.kind
     p = layer.params
@@ -298,10 +301,10 @@ def _backward_layer(layer, g, x, aux, act_of):
     if kind == RELU:
         return g * (x > 0.0), []
     if kind == SWISH:
-        s = aux
+        s = _sigmoid(x)
         return g * (s + x * s * (1.0 - s)), []
     if kind == SIGMOID:
-        s = aux
+        s = _sigmoid(x)
         return g * s * (1.0 - s), []
     if kind == BNORM:
         gamma = layer_weights(layer)["gamma"]
@@ -319,7 +322,7 @@ def _backward_layer(layer, g, x, aux, act_of):
     if kind == ADD:
         return g, [(p["skip_source"], g)]
     if kind == CMUL:
-        u = act_of(p["map_source"])
+        u = acts[p["map_source"]]
         gate = x.reshape(-1)
         g_gate = (g * u).sum(axis=(1, 2)).reshape(x.shape)
         return g_gate, [(p["map_source"], g * gate[:, None, None])]
@@ -328,81 +331,64 @@ def _backward_layer(layer, g, x, aux, act_of):
     raise EngineError(f"layer {layer.name!r}: unknown kind {kind!r}")
 
 
-def _dead_after(model, upto):
-    """dead[i]: the activations of layers [0, upto - 1) that layer i is the
-    last to read; one that no layer reads dies where it is made."""
-    last = list(range(upto - 1))
-    for i, layer in enumerate(model.layers[:upto]):
-        reads = [ref for _, ref in _refs(layer)]
-        if layer.source is None:
-            reads.append(i - 1)
-        for ref in reads:
-            if ref >= 0:  # not the graph input
-                last[ref] = i
-    dead = [[] for _ in range(upto)]
-    for j, i in enumerate(last):
-        dead[i].append(j)
-    return dead
-
-
 def _run(model, x, upto, release=False):
-    """Execute layers [0, upto), returning per-layer activations and aux.
+    """Execute layers [0, upto); returns the activations in slot layout.
 
-    With ``release`` (only ``forward`` sets it) each activation and aux is
-    dropped after the last layer that reads the activation, so only the last
-    entry of each list is kept."""
-    acts = []
-    auxs = []
+    With ``release`` (only ``forward`` sets it) each slot, the input's
+    included, is dropped after its last reader; only slot upto - 1 stays."""
+    acts = [None] * upto + [x]
     if release:
-        dead = _dead_after(model, upto)
-
-    def act_of(idx):
-        return x if idx == -1 else acts[idx]
-
+        # last[r]: the last layer to read slot r; a slot no layer reads dies
+        # where it is made, and the result is never dropped
+        last = list(range(upto + 1))
+        for i, layer in enumerate(model.layers[:upto]):
+            for _, r in _refs(layer, i):
+                last[r] = i
+        last[upto - 1] = upto
+        dead = [[] for _ in range(upto + 1)]
+        for r, i in enumerate(last):
+            dead[i].append(r)
     for i in range(upto):
         layer = model.layers[i]
-        src = i - 1 if layer.source is None else layer.source
-        out, aux = _forward_layer(layer, act_of(src), act_of)
-        acts.append(out)
-        auxs.append(aux)
+        acts[i] = _forward_layer(layer, acts[source_of(layer, i)], acts)
         if release:
-            for j in dead[i]:
-                acts[j] = auxs[j] = None
-    return acts, auxs
+            for r in dead[i]:
+                acts[r] = None
+    return acts
 
 
 def forward(model, x):
     """Run the whole graph; returns the final activation."""
     x = require_tensor(x, shape=model.input_shape, name="model input")
-    acts, _ = _run(model, x, len(model.layers), release=True)
-    out = acts[-1]
+    n = len(model.layers)
+    out = _run(model, x, n, release=True)[n - 1]
     if not np.all(np.isfinite(out)):
         raise EngineError(f"model {model.name!r}: non-finite output")
     return out
 
 
 def _prefix(model, x, boundary_label):
-    """Run the enclave-side prefix; returns (checked input, boundary index,
-    activations, aux), the state ``_prefix_gradient`` differentiates."""
+    """Run the enclave-side prefix; returns (boundary index, activations),
+    the state ``_prefix_gradient`` differentiates."""
     x = require_tensor(x, shape=model.input_shape, name="model input")
     b = model.boundary_of(boundary_label)
-    acts, auxs = _run(model, x, b)
+    acts = _run(model, x, b)
     if not np.all(np.isfinite(acts[b - 1])):
         raise EngineError(f"model {model.name!r}: non-finite activation at "
                           f"{boundary_label!r}")
-    return x, b, acts, auxs
+    return b, acts
 
 
 def _prefix_gradient(model, state, cotangent):
     """``input_gradient`` for a ``_prefix`` state, without re-running it."""
-    x, b, acts, auxs = state
+    b, acts = state
     cot = require_tensor(cotangent, shape=acts[b - 1].shape, name="cotangent")
-    return _backward(model, x, acts, auxs, b, cot)
+    return _backward(model, acts, b, cot)
 
 
 def forward_until(model, x, boundary_label):
     """Run the enclave-side prefix only; returns the exposed feature map."""
-    _, b, acts, _ = _prefix(model, x, boundary_label)
+    b, acts = _prefix(model, x, boundary_label)
     return acts[b - 1]
 
 
@@ -415,35 +401,22 @@ def input_gradient(model, boundary_label, x, cotangent):
     return _prefix_gradient(model, _prefix(model, x, boundary_label), cotangent)
 
 
-def _backward(model, x, acts, auxs, upto, cot):
-    def act_of(idx):
-        return x if idx == -1 else acts[idx]
-
-    grads = [None] * upto
+def _backward(model, acts, upto, cot):
+    grads = [None] * (upto + 1)  # slot layout: the input's gradient is last
     grads[upto - 1] = cot
-    gx = None
-
-    def accumulate(idx, g):
-        nonlocal gx
-        if idx == -1:
-            gx = g.copy() if gx is None else gx + g
-        elif grads[idx] is None:
-            grads[idx] = g.copy()
-        else:
-            grads[idx] = grads[idx] + g
-
     for i in range(upto - 1, -1, -1):
         g = grads[i]
         if g is None:
             continue  # activation only consumed beyond the boundary
         layer = model.layers[i]
-        src = i - 1 if layer.source is None else layer.source
-        g_in, extras = _backward_layer(layer, g, act_of(src), auxs[i], act_of)
-        accumulate(src, g_in)
-        for idx, ge in extras:
-            accumulate(idx, ge)
+        src = source_of(layer, i)
+        g_in, extras = _backward_layer(layer, g, acts[src], acts)
+        for r, ge in ((src, g_in), *extras):
+            # the first term is copied, so no gradient aliases ``cot``
+            grads[r] = ge.copy() if grads[r] is None else grads[r] + ge
+    gx = grads[-1]
     if gx is None:
-        gx = np.zeros_like(x)
+        gx = np.zeros_like(acts[-1])
     if not np.all(np.isfinite(gx)):
         raise EngineError(f"model {model.name!r}: non-finite gradient")
     return gx

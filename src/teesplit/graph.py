@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .tensors import read_json, write_text_atomic
@@ -129,12 +130,11 @@ class ModelGraph:
 
 @dataclass(frozen=True)
 class PartitionAssignment:
-    """A model cut at one named boundary: layer ranges per environment plus
-    the shape/byte size of the feature map that crosses between them."""
+    """A model cut at one named boundary (layers [0, boundary) run in the
+    enclave, the rest on the accelerator): block tallies per side plus the
+    shape/byte size of the feature map that crosses between them."""
     boundary_label: str
     boundary: int
-    enclave_range: tuple
-    accelerator_range: tuple
     exposed_tensor_shape: tuple
     exposed_tensor_bytes: int
     enclave_counts: tuple
@@ -147,6 +147,14 @@ class PartitionAssignment:
     @property
     def accelerator_summary(self):
         return format_counts(self.accelerator_counts)
+
+
+def _index(value):
+    """``operator.index(value)``, refusing bools: a Python or NumPy integer
+    as an int; TypeError for anything else."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
 
 
 def _check_params(name, kind, params):
@@ -180,9 +188,9 @@ def _pool_extent(name, h, k, s, p):
     return out
 
 
-def _infer_shape(layer, in_shape, shape_of):
-    """Output shape of one layer given its input shape. ``shape_of`` resolves
-    referenced layer indices for Add/ChannelwiseMul."""
+def _infer_shape(layer, in_shape, shapes):
+    """Output shape of one layer given its input shape. Add/ChannelwiseMul
+    read their second operand's shape from ``shapes`` by reference."""
     name, kind, p = layer.name, layer.kind, layer.params
     if kind in (CONV, DWCONV, MAXPOOL, AVGPOOL, GAP, BNORM):
         if len(in_shape) != 3:
@@ -233,13 +241,13 @@ def _infer_shape(layer, in_shape, shape_of):
     if kind == FLATTEN:
         return (math.prod(in_shape),)
     if kind == ADD:
-        skip_shape = shape_of(p["skip_source"])
+        skip_shape = shapes[p["skip_source"]]
         if skip_shape != in_shape:
             raise GraphError(f"layer {name!r}: skip operand shape {skip_shape} "
                              f"does not match input shape {in_shape}")
         return in_shape
     if kind == CMUL:
-        map_shape = shape_of(p["map_source"])
+        map_shape = shapes[p["map_source"]]
         if len(map_shape) != 3:
             raise GraphError(f"layer {name!r}: scaled operand must be C x H x W")
         if math.prod(in_shape) != map_shape[0]:
@@ -268,13 +276,18 @@ def weight_shapes(layer):
     return {}
 
 
-def _refs(layer):
-    """(field, index) for every layer this layer names as an operand:
-    ``source``, then ``skip_source`` / ``map_source`` when present."""
-    refs = [] if layer.source is None else [("source", layer.source)]
-    return refs + [(key, layer.params[key])
-                   for key in ("skip_source", "map_source")
-                   if key in layer.params]
+def source_of(layer, i):
+    """Index of the layer whose output layer ``i`` consumes (-1: the graph
+    input)."""
+    return i - 1 if layer.source is None else layer.source
+
+
+def _refs(layer, i):
+    """(field, index) for every operand of layer ``i``: its source, then
+    ``skip_source`` / ``map_source`` when present."""
+    return [("source", source_of(layer, i))] + [
+        (key, layer.params[key]) for key in ("skip_source", "map_source")
+        if key in layer.params]
 
 
 def make_graph(name, input_shape, layers, partition_points, units=()):
@@ -285,24 +298,17 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     small for the downsampling chain, or partition points that cut a block.
     """
     try:
-        input_shape = tuple(int(d) for d in input_shape)
-    except (TypeError, ValueError):
-        raise GraphError(f"model {name!r}: bad input shape "
-                         f"{input_shape!r}") from None
-    if len(input_shape) < 1 or any(d < 1 for d in input_shape):
-        raise GraphError(f"model {name!r}: bad input shape {input_shape}")
+        dims = tuple(_index(d) for d in input_shape)
+    except TypeError:
+        dims = ()
+    if not dims or any(d < 1 for d in dims):
+        raise GraphError(f"model {name!r}: bad input shape {input_shape!r}")
+    input_shape = dims
     if not layers:
         raise GraphError(f"model {name!r}: no layers")
 
-    shapes = []
-
-    def shape_of(idx):
-        if idx == -1:
-            return input_shape
-        if not (0 <= idx < len(shapes)):
-            raise GraphError(f"model {name!r}: reference to layer {idx} is out of range")
-        return shapes[idx]
-
+    # slot layout: shapes[i] is layer i's output, shapes[-1] the input's
+    shapes = [None] * len(layers) + [input_shape]
     inferred = []
     names = set()
     for i, layer in enumerate(layers):
@@ -315,15 +321,13 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
         if layer.kind not in KINDS:
             raise GraphError(f"layer {layer.name!r}: unknown kind {layer.kind!r}")
         _check_params(layer.name, layer.kind, layer.params)
-        for key, ref in _refs(layer):
+        for key, ref in _refs(layer, i):
             if (not isinstance(ref, int) or isinstance(ref, bool)
                     or not -1 <= ref < i):
                 raise GraphError(f"layer {layer.name!r}: {key} {ref} must name "
                                  f"an earlier layer")
-        src = layer.source
-        in_shape = shape_of(i - 1 if src is None else src)
-        out_shape = _infer_shape(layer, in_shape, shape_of)
-        shapes.append(out_shape)
+        out_shape = _infer_shape(layer, shapes[source_of(layer, i)], shapes)
+        shapes[i] = out_shape
         inferred.append(replace(layer, output_shape=out_shape))
 
     pts = []
@@ -331,8 +335,8 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     prev_b = 0
     for lab, b in partition_points:
         try:
-            b = int(b)
-        except (TypeError, ValueError):
+            b = _index(b)
+        except TypeError:
             raise GraphError(f"model {name!r}: boundary {b!r} for {lab!r} is "
                              f"not an integer") from None
         if not isinstance(lab, str):
@@ -369,8 +373,8 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     # a partition point must not be crossed by any reference other than to
     # the activation feeding the suffix (index boundary-1, the exposed map)
     for lab, b in pts:
-        for layer in inferred[b:]:
-            for _, r in _refs(layer):
+        for i, layer in enumerate(inferred[b:], b):
+            for _, r in _refs(layer, i):
                 if r < b - 1:
                     raise GraphError(
                         f"model {name!r}: layer {layer.name!r} reaches across "
@@ -411,8 +415,8 @@ def format_counts(counts):
 
 
 def enumerate_partitions(model):
-    """All supported cut positions with per-side layer ranges, block tallies,
-    and the exposed feature map's shape and byte size."""
+    """All supported cut positions with per-side block tallies and the
+    exposed feature map's shape and byte size."""
     out = []
     n = len(model.layers)
     for lab, b in model.partition_points:
@@ -420,8 +424,6 @@ def enumerate_partitions(model):
         out.append(PartitionAssignment(
             boundary_label=lab,
             boundary=b,
-            enclave_range=(0, b),
-            accelerator_range=(b, n),
             exposed_tensor_shape=shape,
             exposed_tensor_bytes=math.prod(shape) * ELEMENT_SIZE,
             enclave_counts=_counts_for_range(model, 0, b),
@@ -483,6 +485,16 @@ def model_to_json(model):
     return doc
 
 
+def _unit_counts(counts):
+    """A unit record's ``counts`` as (kind, n) pairs; ValueError or TypeError
+    unless each is a [string, non-negative integer] pair."""
+    if not isinstance(counts, list) or not all(
+            isinstance(c, list) and len(c) == 2 and isinstance(c[0], str)
+            and _index(c[1]) >= 0 for c in counts):
+        raise ValueError(f"counts {counts!r} are not [kind, count >= 0] pairs")
+    return tuple((k, _index(n)) for k, n in counts)
+
+
 def model_from_json(doc):
     try:
         name = doc["name"]
@@ -513,10 +525,10 @@ def model_from_json(doc):
         except (KeyError, TypeError) as exc:
             raise GraphError(f"partition point record missing field: {exc}") from None
     try:
-        units = tuple(
-            Unit(rec["label"], int(rec["start"]), int(rec["end"]),
-                 tuple((k, n) for k, n in rec.get("counts", [])))
-            for rec in doc.get("units", []))
+        units = tuple(Unit(rec["label"], _index(rec["start"]),
+                           _index(rec["end"]),
+                           _unit_counts(rec.get("counts", [])))
+                      for rec in doc.get("units", []))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed unit record: {exc!r}") from None
     return make_graph(name, input_shape, layers, points, units)

@@ -145,7 +145,7 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     def loss_of(candidate):
         # the prefix state is kept so the next step's gradient reuses it
         state = engine._prefix(model, candidate, boundary_label)
-        feat = state[2][-1]  # activations end at the boundary
+        feat = state[1][b - 1]  # the activations' boundary slot
         # overflow here is the divergence signal, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
             return state, feat, float(np.sum((feat - target) ** 2))

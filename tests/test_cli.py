@@ -59,7 +59,9 @@ def test_malformed_model_json_exits_one(tmp_path, capsys):
     for section, index, key, value in [("layers", 1, "source", "x"),
                                        ("layers", 0, "name", [1]),
                                        ("partition_points", 0, "label", {"a": 1}),
-                                       ("layers", 0, "seed", -1)]:
+                                       ("layers", 0, "seed", -1),
+                                       ("units", 0, "counts",
+                                        [["conv", "x"], ["conv", 1]])]:
         doc = ts.model_to_json(ts.build_toy_cnn(points=3, input_shape=(1, 16, 16)))
         doc[section][index][key] = value
         bad.write_text(json.dumps(doc))

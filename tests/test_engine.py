@@ -326,11 +326,33 @@ def test_forward_releases_dead_activations_bitwise():
     for name in ("resnet50", "efficientnetb0"):
         m = ts.build_architecture(name, input_shape=(3, 64, 64))
         x = np.random.default_rng(4).uniform(0, 1, m.input_shape)
-        acts, auxs = engine._run(m, x, len(m.layers), release=True)
-        assert all(a is None for a in acts[:-1] + auxs[:-1]), name
-        kept, _ = engine._run(m, x, len(m.layers))
-        assert np.array_equal(acts[-1], kept[-1]), name
-        assert np.array_equal(ts.forward(m, x), kept[-1]), name
+        n = len(m.layers)
+        acts = engine._run(m, x, n, release=True)
+        assert all(a is None for a in acts[:n - 1] + acts[n:]), name
+        kept = engine._run(m, x, n)
+        assert np.array_equal(acts[n - 1], kept[n - 1]), name
+        assert np.array_equal(ts.forward(m, x), kept[n - 1]), name
+
+    # the input is read again after layer 0, by a source and by a
+    # map_source: its slot is dropped once that last reader has run
+    conv = dict(in_channels=2, out_channels=2, kernel=1, stride=1, padding=0)
+    for layers, reader in [
+            ([spec("c1", ts.CONV, seed=1, **conv),
+              spec("c2", ts.CONV, seed=2, source=-1, **conv),
+              spec("a", ts.ADD, skip_source=0)], 1),
+            ([spec("g", ts.GAP), spec("fl", ts.FLATTEN),
+              spec("fc", ts.FC, in_features=2, units=2, seed=3),
+              spec("sg", ts.SIGMOID), spec("m", ts.CMUL, map_source=-1)], 4)]:
+        m = graph((2, 3, 3), layers)
+        x = np.random.default_rng(8).standard_normal(m.input_shape)
+        n = len(m.layers)
+        kept = engine._run(m, x, n)
+        assert kept[-1] is x
+        for upto in range(reader + 1, n + 1):
+            acts = engine._run(m, x, upto, release=True)
+            assert acts[-1] is None, (reader, upto)
+            assert np.array_equal(acts[upto - 1], kept[upto - 1]), (reader, upto)
+        assert np.array_equal(ts.forward(m, x), kept[n - 1]), reader
 
 
 def test_warm_forward_peak_memory_is_bounded():

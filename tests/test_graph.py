@@ -42,6 +42,15 @@ def test_shape_inference_chain():
     assert m.output_shape == (10,)
 
 
+def test_make_graph_takes_numpy_integers():
+    m = small_model()
+    got = ts.make_graph("small", np.array([2, 8, 8]), m.layers,
+                        [("A", np.int64(3)), ("B", np.int32(5))])
+    assert got == m
+    assert all(type(d) is int for d in got.input_shape)
+    assert all(type(b) is int for _, b in got.partition_points)
+
+
 def test_boundary_lookup_and_labels():
     m = small_model()
     assert m.labels() == ["A", "B"]
@@ -177,14 +186,22 @@ _DROP = object()
     (("input_shape",), ["a"]),
     (("partition_points",), 5),
     (("partition_points", 0, "boundary"), "x"),
+    (("input_shape",), [1, 16.7, 16]),
+    (("input_shape",), [True, 16, 16]),
+    (("partition_points", 0, "boundary"), 2.9),
     (("layers", 1, "source"), "x"),
     (("layers", 0, "name"), [1]),
     (("partition_points", 0, "label"), {"a": 1}),
     (("layers", 0, "seed"), -1),
+    (("units", 0, "counts"), [["conv", "x"], ["conv", 1]]),
+    (("units", 0, "counts"), {"ab": 1}),
+    (("units", 0, "counts"), [["conv", -5]]),
 ], ids=["unit-without-start", "unit-end-not-integer", "layer-not-object",
         "input-shape-not-numeric", "partition-points-not-list",
-        "boundary-not-integer", "source-not-integer", "name-not-string",
-        "label-not-string", "negative-seed"])
+        "boundary-not-integer", "float-dimension", "bool-dimension",
+        "float-boundary", "source-not-integer", "name-not-string",
+        "label-not-string", "negative-seed", "unit-count-not-integer",
+        "unit-counts-not-list", "unit-count-negative"])
 def test_model_from_json_rejects_malformed_documents(toy4, path, value):
     doc = ts.model_to_json(toy4)
     *parents, key = path
