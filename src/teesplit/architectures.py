@@ -22,9 +22,6 @@ from .graph import (ADD, BNORM, CMUL, CONV, DWCONV, FC, FLATTEN, GAP,
                     GraphError, LayerSpec, MAXPOOL, RELU, SIGMOID, SWISH, Unit,
                     load_model, make_graph, mix_seed)
 
-BUILTIN_ARCHITECTURES = ("vgg16", "resnet50", "efficientnetb0")
-
-
 class _Assembler:
     """Accumulates layers, blocks, and partition points for a builder."""
 
@@ -221,22 +218,17 @@ def build_architecture(arch_name, input_shape=(3, 224, 224), seed=0):
                 "efficientnetb0": build_efficientnetb0}
     if arch_name not in builders:
         raise GraphError(f"unknown architecture {arch_name!r}; expected one of "
-                         f"{', '.join(BUILTIN_ARCHITECTURES)}")
+                         f"{', '.join(builders)}")
     return builders[arch_name](tuple(input_shape), seed)
 
 
-def build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=0, widths=None):
+def build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=0):
     """Small CNN with one partition point per conv block, for inversion
     experiments. Later blocks pool and narrow, so deeper exposed maps carry
     progressively less of the input."""
     if points < 2:
         raise GraphError("toy model needs at least 2 partition points")
-    if widths is None:
-        widths = [8, 8, 6, 4, 3, 2][:points]
-        while len(widths) < points:
-            widths.append(2)
-    if len(widths) != points:
-        raise GraphError("widths must provide one channel count per block")
+    widths = ([8, 8, 6, 4, 3] + [2] * points)[:points]
     a = _Assembler(f"toy{points}", input_shape, mix_seed(seed, points, 997))
     in_ch = input_shape[0]
     for i, width in enumerate(widths, start=1):
@@ -258,7 +250,11 @@ def resolve_model(spec, input_shape=None, seed=0):
     """Model reference as used by the command line: a built-in architecture
     name, ``toy<N>`` for an N-point toy CNN, or a path to a JSON document."""
     if spec.endswith(".json"):
-        return load_model(spec)
+        model = load_model(spec)
+        if input_shape is not None and tuple(input_shape) != model.input_shape:
+            raise GraphError(f"model {spec!r} takes input shape "
+                             f"{model.input_shape}, not {tuple(input_shape)}")
+        return model
     if spec.startswith("toy") and spec[3:].isdigit():
         return build_toy_cnn(points=int(spec[3:]),
                              input_shape=input_shape or (1, 16, 16), seed=seed)

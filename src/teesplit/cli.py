@@ -99,11 +99,11 @@ def _model_from_args(args):
                          seed=args.seed)
 
 
-def _add_model_flags(p, default_shape=None):
+def _add_model_flags(p):
     p.add_argument("--model", required=True,
                    help="architecture name, toy<N>, or model JSON path")
-    p.add_argument("--input-shape", type=_shape, default=default_shape,
-                   metavar="CxHxW", help="model input shape")
+    p.add_argument("--input-shape", type=_shape, metavar="CxHxW",
+                   help="model input shape")
     p.add_argument("--seed", type=int, default=None,
                    help="weight seed (default: PARTITION_SEED or 0)")
 

@@ -133,21 +133,14 @@ def mac_count(model, up_to_boundary=None):
     a fully connected layer counts inputs x outputs, and every other kind
     counts one operation per output element.
     """
-    if up_to_boundary is None:
-        hi = len(model.layers)
-    else:
-        hi = model.boundary_of(up_to_boundary)
-    return _macs_prefix(model, hi)
+    hi = None if up_to_boundary is None else model.boundary_of(up_to_boundary)
+    return sum(_layer_macs(layer) for layer in model.layers[:hi])
 
 
 def _layer_macs(layer):
     # weights one output element reads; 1 for kinds without a "w" array
     taps = math.prod(weight_shapes(layer).get("w", ())[1:])
     return math.prod(layer.output_shape) * taps
-
-
-def _macs_prefix(model, hi):
-    return sum(_layer_macs(layer) for layer in model.layers[:hi])
 
 
 def predict(profile, assignment):
@@ -174,40 +167,40 @@ def full_enclave_breakdown(profile):
                             total_seconds=fe, speedup_vs_full_enclave=0.0)
 
 
-def fit_transfer(byte_sizes, clamp=TRANSFER_CLAMP):
-    """Affine transfer model hitting clamp[0] at the smallest exposed map and
-    clamp[1] at the largest."""
-    lo, hi = clamp
+def fit_transfer(byte_sizes):
+    """Affine transfer model hitting TRANSFER_CLAMP[0] at the smallest exposed
+    map and TRANSFER_CLAMP[1] at the largest."""
+    lo, hi = TRANSFER_CLAMP
     bmin, bmax = min(byte_sizes), max(byte_sizes)
     if bmax > bmin:
         rate = (hi - lo) / (bmax - bmin)
         base = lo - rate * bmin
     else:
         rate, base = 0.0, (lo + hi) / 2.0
-    return TransferModel(base_seconds=base, seconds_per_byte=rate, clamp=clamp)
+    return TransferModel(base, rate, TRANSFER_CLAMP)
 
 
 def _interp_prefix(mac, anchors):
     """Piecewise-linear prefix seconds in cumulative MACs over anchor
-    (mac, seconds) pairs sorted by mac."""
+    (mac, seconds) pairs with strictly increasing macs."""
     for (m0, p0), (m1, p1) in zip(anchors, anchors[1:]):
         if m0 <= mac <= m1:
-            if m1 == m0:
-                return p0
             t = (mac - m0) / (m1 - m0)
             return p0 + t * (p1 - p0)
     raise CalibrationError("boundary MAC count outside anchored range")
 
 
-def _assemble(model, assignments, measured, full_enclave, full_accelerator,
-              extend_to_endpoints):
+def _assemble(model, measured, full_enclave, full_accelerator):
     """Shared profile construction. ``measured`` maps label -> total seconds.
-    When ``extend_to_endpoints`` is set, virtual anchors at zero depth and at
-    the full model close the interpolation range (used for shipped profiles
-    whose published anchors are interior boundaries)."""
+    Anchors at zero depth and at the full model close the interpolation
+    range. Every layer counts at least one MAC, so the anchors strictly
+    increase in MACs, and calibration measures the first and last
+    boundaries, so it never interpolates on the end segments."""
+    assignments = enumerate_partitions(model)
     transfer = fit_transfer([a.exposed_tensor_bytes for a in assignments])
-    total_macs = _macs_prefix(model, len(model.layers))
-    macs = {a.boundary_label: _macs_prefix(model, a.boundary) for a in assignments}
+    total_macs = mac_count(model)
+    macs = {a.boundary_label: mac_count(model, a.boundary_label)
+            for a in assignments}
     suffix = {lab: full_accelerator * (1.0 - m / total_macs)
               for lab, m in macs.items()}
     tr = {a.boundary_label: transfer.seconds_for(a.exposed_tensor_bytes)
@@ -215,9 +208,7 @@ def _assemble(model, assignments, measured, full_enclave, full_accelerator,
     prefix = {lab: total - tr[lab] - suffix[lab]
               for lab, total in measured.items()}
 
-    anchors = []
-    if extend_to_endpoints:
-        anchors.append((0.0, 0.0))
+    anchors = [(0.0, 0.0)]
     prev = -math.inf
     for lab in macs:
         if lab not in prefix:
@@ -231,8 +222,7 @@ def _assemble(model, assignments, measured, full_enclave, full_accelerator,
                 f"measured prefix times are not non-decreasing at {lab!r}")
         prev = prefix[lab]
         anchors.append((macs[lab], prefix[lab]))
-    if extend_to_endpoints:
-        anchors.append((float(total_macs), full_enclave))
+    anchors.append((float(total_macs), full_enclave))
 
     per_point = tuple(
         PointCost(boundary_label=lab,
@@ -254,8 +244,7 @@ def calibrate(model, measurements, full_enclave_seconds,
     total is reproduced exactly by predict, and in-between boundaries are
     filled by MAC-proportional interpolation of the enclave prefix.
     """
-    assignments = enumerate_partitions(model)
-    labels = [a.boundary_label for a in assignments]
+    labels = model.labels()
     measured = {}
     for lab, total in measurements:
         if lab not in labels:
@@ -272,21 +261,19 @@ def calibrate(model, measurements, full_enclave_seconds,
                 f"missing {endpoint!r}")
     if not (full_enclave_seconds > 0 and full_accelerator_seconds > 0):
         raise CalibrationError("endpoint runtimes must be positive")
-    return _assemble(model, assignments, measured, float(full_enclave_seconds),
-                     float(full_accelerator_seconds), extend_to_endpoints=False)
+    return _assemble(model, measured, float(full_enclave_seconds),
+                     float(full_accelerator_seconds))
 
 
-def builtin_profile(arch_name,
-                    full_accelerator_seconds=_DEFAULT_ACCELERATOR_SECONDS):
+def builtin_profile(arch_name):
     """Shipped cost profile for a built-in architecture at 3 x 224 x 224,
     anchored to its published full-enclave and partitioned runtimes."""
     if arch_name not in _BUILTIN_ANCHORS:
         raise CalibrationError(f"no shipped profile for {arch_name!r}")
     full_enclave, anchors = _BUILTIN_ANCHORS[arch_name]
     model = build_architecture(arch_name, (3, 224, 224))
-    assignments = enumerate_partitions(model)
-    return _assemble(model, assignments, dict(anchors), full_enclave,
-                     full_accelerator_seconds, extend_to_endpoints=True)
+    return _assemble(model, dict(anchors), full_enclave,
+                     _DEFAULT_ACCELERATOR_SECONDS)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,9 @@ import math
 
 import numpy as np
 
-from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, FC, FLATTEN, GAP,
-                    MAXPOOL, RELU, SIGMOID, SWISH, _refs, source_of,
-                    weight_shapes)
+from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, ELEMENT_SIZE, FC,
+                    FLATTEN, GAP, MAXPOOL, RELU, SIGMOID, SWISH, _refs,
+                    source_of, weight_shapes)
 from .tensors import require_tensor
 
 
@@ -118,8 +118,8 @@ def param_count(layer):
     return sum(math.prod(shape) for shape in weight_shapes(layer).values())
 
 
-def model_param_bytes(model, lo, hi, element_size=4):
-    return sum(param_count(layer) for layer in model.layers[lo:hi]) * element_size
+def model_param_bytes(model, lo, hi):
+    return sum(param_count(layer) for layer in model.layers[lo:hi]) * ELEMENT_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +268,11 @@ def _forward_layer(layer, x, acts):
         return _sigmoid(x)
     if kind == BNORM:
         w = layer_weights(layer)
-        expand = (slice(None),) + (None,) * (x.ndim - 1)
-        return x * w["gamma"][expand] + w["beta"][expand]
+        return x * w["gamma"][:, None, None] + w["beta"][:, None, None]
     if kind == MAXPOOL:
         return _maxpool_fwd(layer, x)
     if kind == AVGPOOL:
-        k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
-        win = _windows(x, k, s, pad)
+        win = _windows(x, p["kernel"], p["stride"], p.get("padding", 0))
         return np.ascontiguousarray(win.mean(axis=(-2, -1)))
     if kind == GAP:
         return x.mean(axis=(1, 2), keepdims=True)
@@ -307,9 +305,7 @@ def _backward_layer(layer, g, x, acts):
         s = _sigmoid(x)
         return g * s * (1.0 - s), []
     if kind == BNORM:
-        gamma = layer_weights(layer)["gamma"]
-        expand = (slice(None),) + (None,) * (x.ndim - 1)
-        return g * gamma[expand], []
+        return g * layer_weights(layer)["gamma"][:, None, None], []
     if kind == MAXPOOL:
         return _maxpool_bwd(layer, g, x), []
     if kind == AVGPOOL:
@@ -414,9 +410,8 @@ def _backward(model, acts, upto, cot):
         for r, ge in ((src, g_in), *extras):
             # the first term is copied, so no gradient aliases ``cot``
             grads[r] = ge.copy() if grads[r] is None else grads[r] + ge
+    # never None: every source lies below its layer, so every chain ends here
     gx = grads[-1]
-    if gx is None:
-        gx = np.zeros_like(acts[-1])
     if not np.all(np.isfinite(gx)):
         raise EngineError(f"model {model.name!r}: non-finite gradient")
     return gx

@@ -15,6 +15,7 @@ feature map whose byte size drives transfer-cost and privacy analysis.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -158,25 +159,32 @@ def _index(value):
 
 
 def _check_params(name, kind, params):
+    """Checked copy of ``params``, every value but ``init`` as an int."""
     spec = _PARAM_SPEC[kind]
-    for key in params:
+    checked = {}
+    for key, val in params.items():
         if key not in spec:
             raise GraphError(f"layer {name!r}: unknown {kind} parameter {key!r}")
-    for key, required in spec.items():
-        if required and key not in params:
-            raise GraphError(f"layer {name!r}: missing {kind} parameter {key!r}")
-    for key, val in params.items():
         if key == "init":
             if val not in ("he", "identity"):
                 raise GraphError(f"layer {name!r}: unknown init {val!r}")
-        elif not isinstance(val, int) or isinstance(val, bool):
-            raise GraphError(f"layer {name!r}: parameter {key!r} must be an integer")
+        else:
+            try:
+                val = _index(val)
+            except TypeError:
+                raise GraphError(f"layer {name!r}: parameter {key!r} must be "
+                                 f"an integer") from None
+        checked[key] = val
+    for key, required in spec.items():
+        if required and key not in params:
+            raise GraphError(f"layer {name!r}: missing {kind} parameter {key!r}")
     for key in ("kernel", "stride"):
-        if key in params and params[key] < 1:
+        if key in checked and checked[key] < 1:
             raise GraphError(f"layer {name!r}: {key} must be >= 1")
     for key in ("padding", "seed"):
-        if params.get(key, 0) < 0:
+        if checked.get(key, 0) < 0:
             raise GraphError(f"layer {name!r}: {key} must be >= 0")
+    return checked
 
 
 def _pool_extent(name, h, k, s, p):
@@ -188,41 +196,30 @@ def _pool_extent(name, h, k, s, p):
     return out
 
 
-def _infer_shape(layer, in_shape, shapes):
-    """Output shape of one layer given its input shape. Add/ChannelwiseMul
-    read their second operand's shape from ``shapes`` by reference."""
-    name, kind, p = layer.name, layer.kind, layer.params
+def _infer_shape(name, kind, p, in_shape, shapes):
+    """Output shape of one layer with checked params ``p`` given its input
+    shape. Add/ChannelwiseMul read their second operand's shape from
+    ``shapes`` by reference."""
     if kind in (CONV, DWCONV, MAXPOOL, AVGPOOL, GAP, BNORM):
         if len(in_shape) != 3:
             raise GraphError(f"layer {name!r}: {kind} needs a C x H x W input, "
                              f"got shape {in_shape}")
-    if kind == CONV:
+    if kind in (CONV, DWCONV, MAXPOOL, AVGPOOL):
+        # windowed kinds; pools carry no channel count to check
         c, h, w = in_shape
-        if c != p["in_channels"]:
-            raise GraphError(f"layer {name!r}: expects {p['in_channels']} input "
-                             f"channels, got {c}")
+        want = p.get("in_channels", p.get("channels", c))
+        if c != want:
+            raise GraphError(f"layer {name!r}: expects {want} input channels, "
+                             f"got {c}")
         if p.get("init") == "identity":
             if p["in_channels"] != p["out_channels"]:
                 raise GraphError(f"layer {name!r}: identity init needs matching "
                                  f"channel counts")
             if p["kernel"] % 2 == 0:
                 raise GraphError(f"layer {name!r}: identity init needs an odd kernel")
-        oh = _pool_extent(name, h, p["kernel"], p["stride"], p["padding"])
-        ow = _pool_extent(name, w, p["kernel"], p["stride"], p["padding"])
-        return (p["out_channels"], oh, ow)
-    if kind == DWCONV:
-        c, h, w = in_shape
-        if c != p["channels"]:
-            raise GraphError(f"layer {name!r}: expects {p['channels']} channels, got {c}")
-        oh = _pool_extent(name, h, p["kernel"], p["stride"], p["padding"])
-        ow = _pool_extent(name, w, p["kernel"], p["stride"], p["padding"])
-        return (c, oh, ow)
-    if kind in (MAXPOOL, AVGPOOL):
-        c, h, w = in_shape
-        pad = p.get("padding", 0)
-        oh = _pool_extent(name, h, p["kernel"], p["stride"], pad)
-        ow = _pool_extent(name, w, p["kernel"], p["stride"], pad)
-        return (c, oh, ow)
+        k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
+        return (p.get("out_channels", c), _pool_extent(name, h, k, s, pad),
+                _pool_extent(name, w, k, s, pad))
     if kind == GAP:
         return (in_shape[0], 1, 1)
     if kind == BNORM:
@@ -320,15 +317,21 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
         names.add(layer.name)
         if layer.kind not in KINDS:
             raise GraphError(f"layer {layer.name!r}: unknown kind {layer.kind!r}")
-        _check_params(layer.name, layer.kind, layer.params)
+        params = _check_params(layer.name, layer.kind, layer.params)
         for key, ref in _refs(layer, i):
-            if (not isinstance(ref, int) or isinstance(ref, bool)
-                    or not -1 <= ref < i):
+            try:
+                ok = -1 <= _index(ref) < i
+            except TypeError:
+                ok = False
+            if not ok:
                 raise GraphError(f"layer {layer.name!r}: {key} {ref} must name "
                                  f"an earlier layer")
-        out_shape = _infer_shape(layer, shapes[source_of(layer, i)], shapes)
+        out_shape = _infer_shape(layer.name, layer.kind, params,
+                                 shapes[source_of(layer, i)], shapes)
         shapes[i] = out_shape
-        inferred.append(replace(layer, output_shape=out_shape))
+        source = None if layer.source is None else _index(layer.source)
+        inferred.append(LayerSpec(layer.name, layer.kind, params, out_shape,
+                                  source))
 
     pts = []
     seen_labels = set()
@@ -387,25 +390,16 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
 
 def _counts_for_range(model, lo, hi):
     """Run-length tally of described block kinds for layers [lo, hi)."""
-    runs = []
     if model.units:
-        for u in model.units:
-            if u.start >= lo and u.end <= hi:
-                for kind, n in u.counts:
-                    if runs and runs[-1][0] == kind:
-                        runs[-1][1] += n
-                    else:
-                        runs.append([kind, n])
+        items = [c for u in model.units if u.start >= lo and u.end <= hi
+                 for c in u.counts]
     else:
         # no block annotations: tally primitive parameterized layers
-        for layer in model.layers[lo:hi]:
-            kind = {CONV: "conv", DWCONV: "conv", FC: "FC"}.get(layer.kind)
-            if kind:
-                if runs and runs[-1][0] == kind:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([kind, 1])
-    return tuple((k, n) for k, n in runs)
+        kinds = {CONV: "conv", DWCONV: "conv", FC: "FC"}
+        items = [(kinds[layer.kind], 1) for layer in model.layers[lo:hi]
+                 if layer.kind in kinds]
+    return tuple((kind, sum(n for _, n in run))
+                 for kind, run in itertools.groupby(items, key=lambda c: c[0]))
 
 
 def format_counts(counts):

@@ -110,9 +110,8 @@ def simulate_pipeline(model, boundary_label, x, profile):
     head, tail = split(model, boundary_label)
 
     input_bytes = math.prod(model.input_shape) * ELEMENT_SIZE
-    critical_bytes = engine.model_param_bytes(model, 0, b, ELEMENT_SIZE)
-    noncritical_bytes = engine.model_param_bytes(model, b, len(model.layers),
-                                                 ELEMENT_SIZE)
+    critical_bytes = engine.model_param_bytes(model, 0, b)
+    noncritical_bytes = engine.model_param_bytes(model, b, len(model.layers))
 
     ledger = TrustLedger()
     # decrypt model and input inside the enclave

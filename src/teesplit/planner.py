@@ -67,7 +67,7 @@ def _validated(req):
     if labels != [a.boundary_label for a in req.assignments]:
         raise PlanError("partition assignments do not match the scored "
                         "boundaries")
-    if not (req.threshold > 0) or req.slack < 0:
+    if not (req.threshold > 0 and req.slack >= 0):
         raise PlanError("threshold must be positive and slack non-negative")
     return labels
 

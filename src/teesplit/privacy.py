@@ -22,10 +22,9 @@ import io
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import engine
-from .graph import mix_seed
+from .graph import _index, mix_seed
 from .tensors import csv_text, require_tensor
 
 DEFAULT_THRESHOLD = 0.2
@@ -39,8 +38,8 @@ class PrivacyError(ValueError):
 class InversionDivergenceError(RuntimeError):
     """Attack loss became non-finite; carries the offending step index."""
 
-    def __init__(self, step, message=None):
-        super().__init__(message or f"attack loss diverged at step {step}")
+    def __init__(self, step):
+        super().__init__(f"attack loss diverged at step {step}")
         self.step = step
 
 
@@ -70,9 +69,6 @@ class PrivacyReport:
 
     def labels(self):
         return [lab for lab, _, _ in self.per_point]
-
-    def scores(self):
-        return [(lab, mean) for lab, mean, _ in self.per_point]
 
 
 def gaussian_window(size, sigma):
@@ -108,10 +104,8 @@ def ssim(a, b, params=SsimParams()):
     c1 = (params.k1 * span) ** 2
     c2 = (params.k2 * span) ** 2
 
-    win_a = sliding_window_view(a, (params.window_size, params.window_size),
-                                axis=(1, 2))
-    win_b = sliding_window_view(b, (params.window_size, params.window_size),
-                                axis=(1, 2))
+    win_a = engine._windows(a, params.window_size, 1, 0)
+    win_b = engine._windows(b, params.window_size, 1, 0)
     mu_a = np.einsum("cyxij,ij->cyx", win_a, w)
     mu_b = np.einsum("cyxij,ij->cyx", win_b, w)
     da = win_a - mu_a[..., None, None]
@@ -139,6 +133,13 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     lo, hi = cfg.pixel_bounds
     if not (hi > lo):
         raise PrivacyError("pixel bounds must be an increasing pair")
+    try:
+        steps = _index(cfg.steps)
+    except TypeError:
+        steps = 0
+    if steps < 1 or not (0 < cfg.step_size < np.inf):
+        raise PrivacyError(f"attack needs integer steps >= 1 and a finite step "
+                           f"size > 0, got {cfg.steps!r}, {cfg.step_size!r}")
     rng = np.random.default_rng(cfg.init_seed)
     x = rng.uniform(lo, hi, size=model.input_shape)
 
@@ -191,6 +192,13 @@ def feasible_boundaries(values, threshold, slack):
     return flags[::-1]
 
 
+def _check_rule(threshold, slack):
+    if not (threshold > 0):
+        raise PrivacyError("threshold must be positive")
+    if not (slack >= 0):
+        raise PrivacyError("slack must be non-negative")
+
+
 def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
     """Earliest boundary whose score is at or below the threshold with every
     later score within threshold + slack; None when no boundary qualifies.
@@ -199,10 +207,7 @@ def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
     """
     if not scores:
         raise PrivacyError("no scores to select from")
-    if not (threshold > 0):
-        raise PrivacyError("threshold must be positive")
-    if slack < 0:
-        raise PrivacyError("slack must be non-negative")
+    _check_rule(threshold, slack)
     flags = feasible_boundaries([s for _, s in scores], threshold, slack)
     return next((label for (label, _), ok in zip(scores, flags) if ok), None)
 
@@ -233,6 +238,7 @@ def evaluate_privacy(model, images, cfg=AttackConfig(), params=SsimParams(),
     """
     if not images:
         raise PrivacyError("need at least one image")
+    _check_rule(threshold, slack)  # before the attacks, not after them
     imgs = [require_tensor(im, shape=model.input_shape, name="image")
             for im in images]
     per_point = []

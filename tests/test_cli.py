@@ -328,6 +328,42 @@ def test_report_svg_with_runtime_panel(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_attack_settings_exit_one(tmp_path, capsys):
+    imgs = write_images(tmp_path / "imgs", n=1)
+    base = ["evaluate", "--model", "toy4", "--input-shape", "1x16x16",
+            "--images", imgs, "--steps", "5"]
+    for flags in (["--step-size", "nan"], ["--step-size", "-1"],
+                  ["--steps", "-3"], ["--slack", "nan"], ["--threshold", "0"]):
+        assert run(base + flags) == 1, flags
+        captured = capsys.readouterr()
+        assert "optimal partition point" not in captured.out
+        assert captured.err.startswith("error: ")
+
+
+def test_plan_nan_slack_exits_one(tmp_path, capsys):
+    priv = tmp_path / "privacy.csv"
+    priv.write_text("boundary,label,mean_ssim,n_samples,below_threshold\n"
+                    "1,Layer 1,0.1,2,1\n2,Layer 2,0.1,2,1\n3,Layer 3,0.1,2,1\n"
+                    "4,Layer 4,0.1,2,1\n5,Layer 5,0.1,2,1\n")
+    assert run(["plan", "--model", "resnet50", "--profile", "builtin:resnet50",
+                "--privacy", str(priv), "--slack", "nan"]) == 1
+    assert "slack" in capsys.readouterr().err
+
+
+def test_json_model_with_other_input_shape_exits_one(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    assert run(["build", "--model", "toy3", "--input-shape", "1x16x16",
+                "--out", str(path)]) == 0
+    assert run(["enumerate", "--model", str(path),
+                "--input-shape", "1x16x16"]) == 0
+    capsys.readouterr()
+    assert run(["enumerate", "--model", str(path),
+                "--input-shape", "3x64x64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(1, 16, 16)" in captured.err and "(3, 64, 64)" in captured.err
+
+
 def test_bad_partition_seed_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PARTITION_SEED", "not-a-number")
     imgs = write_images(tmp_path / "imgs", n=1)

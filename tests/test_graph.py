@@ -196,12 +196,16 @@ _DROP = object()
     (("units", 0, "counts"), [["conv", "x"], ["conv", 1]]),
     (("units", 0, "counts"), {"ab": 1}),
     (("units", 0, "counts"), [["conv", -5]]),
+    (("layers", 0, "kernel"), 3.0),
+    (("layers", 0, "kernel"), True),
+    (("layers", 0, "kernel"), "3"),
 ], ids=["unit-without-start", "unit-end-not-integer", "layer-not-object",
         "input-shape-not-numeric", "partition-points-not-list",
         "boundary-not-integer", "float-dimension", "bool-dimension",
         "float-boundary", "source-not-integer", "name-not-string",
         "label-not-string", "negative-seed", "unit-count-not-integer",
-        "unit-counts-not-list", "unit-count-negative"])
+        "unit-counts-not-list", "unit-count-negative", "float-kernel",
+        "bool-kernel", "string-kernel"])
 def test_model_from_json_rejects_malformed_documents(toy4, path, value):
     doc = ts.model_to_json(toy4)
     *parents, key = path
@@ -212,8 +216,34 @@ def test_model_from_json_rejects_malformed_documents(toy4, path, value):
         del target[key]
     else:
         target[key] = value
-    with pytest.raises(ts.GraphError):
+    with pytest.raises(ts.GraphError) as err:
         ts.model_from_json(doc)
+    if key == "kernel":
+        assert "parameter 'kernel' must be an integer" in str(err.value)
+
+
+def residual_model():
+    conv = {"in_channels": 3, "out_channels": 3, "kernel": 3, "stride": 1,
+            "padding": 1}
+    layers = chain(("c1", ts.CONV, dict(conv, seed=0)),
+                   ("r1", ts.RELU, {}),
+                   ("c2", ts.CONV, dict(conv, seed=1), {"source": 0}),
+                   ("a", ts.ADD, {"skip_source": 0}))
+    return ts.make_graph("res", (3, 6, 6), layers, [("A", 1)])
+
+
+@pytest.mark.parametrize("field", ["kernel", "source", "skip_source"])
+def test_numpy_integer_layer_fields_load_as_int(field):
+    m = residual_model()
+    doc = ts.model_to_json(m)
+    rec = next(r for r in doc["layers"] if field in r)
+    rec[field] = np.int64(rec[field])
+    back = ts.model_from_json(doc)
+    assert back == m
+    layer = next(l for l in back.layers if l.name == rec["name"])
+    got = layer.source if field == "source" else layer.params[field]
+    assert type(got) is int
+    assert json.dumps(ts.model_to_json(back)) == json.dumps(ts.model_to_json(m))
 
 
 def test_unit_counts_run_length():

@@ -178,6 +178,20 @@ def test_mismatched_label_sets_rejected():
         ts.plan(req)
 
 
+@pytest.mark.parametrize("threshold, slack", [
+    (0.0, 0.05), (0.2, -0.01), (0.2, float("nan")), (float("nan"), 0.05)])
+def test_bad_threshold_or_slack_rejected(threshold, slack):
+    rng = np.random.default_rng(19)
+    m, asg = toy_request_parts(3)
+    req = ts.PlanRequest(model_name=m.name,
+                         profile=random_profile(rng, m, asg),
+                         scores=tuple((a.boundary_label, 0.1) for a in asg),
+                         assignments=asg, threshold=threshold, slack=slack)
+    for planner in (ts.plan, ts.brute_force_plan):
+        with pytest.raises(ts.PlanError):
+            planner(req)
+
+
 def test_plan_table_csv_shape():
     rng = np.random.default_rng(18)
     m, asg = toy_request_parts(4)

@@ -67,6 +67,8 @@ def test_select_validates_inputs():
         ts.select_optimal_partition(labeled([0.1]), 0.0)
     with pytest.raises(ts.PrivacyError):
         ts.select_optimal_partition(labeled([0.1]), 0.2, -0.01)
+    with pytest.raises(ts.PrivacyError):
+        ts.select_optimal_partition(labeled([0.1]), 0.2, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +203,17 @@ def test_inversion_matches_public_api_oracle(which):
             assert got == want, (label, step_size)
 
 
+@pytest.mark.parametrize("steps, step_size", [
+    (0, 0.05), (-3, 0.05), (2.5, 0.05), (True, 0.05),
+    (5, 0.0), (5, -1.0), (5, float("nan")), (5, float("inf")),
+])
+def test_inversion_rejects_bad_attack_settings(steps, step_size):
+    m = shallow_wide_model()
+    cfg = ts.AttackConfig(steps=steps, step_size=step_size)
+    with pytest.raises(ts.PrivacyError):
+        ts.invert_feature_map(m, "A", np.zeros(m.layers[0].output_shape), cfg)
+
+
 def test_inversion_rejects_wrong_target_shape():
     m = shallow_wide_model()
     with pytest.raises(ts.TensorError):
@@ -237,6 +250,20 @@ def test_evaluate_privacy_requires_images():
     m = ts.build_toy_cnn(points=3, input_shape=(1, 16, 16), seed=2)
     with pytest.raises(ts.PrivacyError):
         ts.evaluate_privacy(m, [], ts.AttackConfig(steps=5))
+
+
+def test_evaluate_privacy_checks_rule_before_attacking(monkeypatch):
+    m = ts.build_toy_cnn(points=3, input_shape=(1, 16, 16), seed=2)
+    images = smooth_images(1, (1, 16, 16), seed=1)
+
+    def no_attack(*args):
+        raise AssertionError("attack ran before the rule was checked")
+
+    monkeypatch.setattr(ts.privacy, "invert_feature_map", no_attack)
+    for threshold, slack in ((0.0, 0.05), (0.2, float("nan"))):
+        with pytest.raises(ts.PrivacyError):
+            ts.evaluate_privacy(m, images, ts.AttackConfig(steps=5),
+                                threshold=threshold, slack=slack)
 
 
 def test_report_csv_round_trip():

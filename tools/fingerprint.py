@@ -1,4 +1,4 @@
-"""Print one SHA-256 per group of engine and attack results.
+"""Print one SHA-256 per group of engine, attack, graph and profile results.
 
 Two trees compute the same bits exactly when they print the same lines, so
 a change that must keep every bit is checked by running this once per tree:
@@ -14,17 +14,25 @@ Groups:
   at 3x64x64;
 - ``gradient64``: ``input_gradient`` at the same points, each with a seeded
   cotangent;
-- ``privacy``: ``evaluate_privacy`` scores of three seeded toy CNNs.
+- ``privacy``: ``evaluate_privacy`` scores of three seeded toy CNNs;
+- ``graph``: the model JSON, the ``enumerate_partitions`` table and the
+  JSON of both ``split`` halves at every partition point, for the three
+  built-ins at 3xHxH (H = 64, 100, 224) and ``toy2`` to ``toy7``;
+- ``profiles``: ``builtin_profile`` of the three built-ins, and
+  ``calibrate`` on ``toy4`` and on each built-in, once from the first and
+  last boundaries only and once with a middle boundary measured too.
 
 Only the public API is used, and every input is drawn from a fixed seed.
-It takes about 9 s and peaks near 1.2 GB of memory (VGG-16's weights at
+It takes about 10 s and peaks near 1.2 GB of memory (VGG-16's weights at
 224, dropped before the next network is built) on a 2-vCPU x86-64 host
-with one BLAS thread.
+with one BLAS thread; the ``graph`` and ``profiles`` groups take about
+0.3 s of that.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
@@ -79,9 +87,49 @@ def _privacy_group():
     return digest
 
 
+def _json(digest, doc):
+    digest.update(json.dumps(doc, indent=2).encode() + b"\n")
+
+
+def _graph_group():
+    digest = hashlib.sha256()
+    models = [ts.build_architecture(net, input_shape=(3, size, size))
+              for size in (64, 100, 224) for net in NETWORKS]
+    models += [ts.build_toy_cnn(points=n) for n in range(2, 8)]
+    for model in models:
+        _json(digest, ts.model_to_json(model))
+        for a in ts.enumerate_partitions(model):
+            digest.update(f"{a!r}\n".encode())
+        for label in model.labels():
+            for half in ts.split(model, label):
+                _json(digest, ts.model_to_json(half))
+    return digest
+
+
+def _profiles_group():
+    digest = hashlib.sha256()
+    for net in NETWORKS:
+        shipped = ts.builtin_profile(net)
+        _json(digest, ts.profile_to_json(shipped))
+        model = ts.build_architecture(net)
+        totals = [(a.boundary_label, ts.predict(shipped, a).total_seconds)
+                  for a in ts.enumerate_partitions(model)]
+        first, middle, last = totals[0], totals[len(totals) // 2], totals[-1]
+        for picked in ([first, last], [first, middle, last]):
+            _json(digest, ts.profile_to_json(ts.calibrate(
+                model, picked, shipped.full_enclave_seconds, 0.05)))
+    toy = ts.build_toy_cnn(points=4)
+    for picked in ([("L1", 0.3), ("L4", 0.9)],
+                   [("L1", 0.3), ("L2", 0.45), ("L4", 0.9)]):
+        _json(digest, ts.profile_to_json(ts.calibrate(toy, picked, 1.0, 0.05)))
+    return digest
+
+
 def main():
     groups = _engine_groups()
     groups["privacy"] = _privacy_group()
+    groups["graph"] = _graph_group()
+    groups["profiles"] = _profiles_group()
     for name, digest in groups.items():
         print(f"{name} {digest.hexdigest()}")
 
