@@ -33,7 +33,7 @@ from .pipeline import LedgerViolationError, simulate_pipeline
 from .planner import PlanError, PlanRequest, plan, plan_table_csv
 from .privacy import (DEFAULT_SLACK, DEFAULT_THRESHOLD, AttackConfig,
                       InversionDivergenceError, PrivacyError, PrivacyReport,
-                      SsimParams, evaluate_privacy, report_to_csv,
+                      SsimParams, _check_rule, evaluate_privacy, report_to_csv,
                       score_boundary, scores_from_csv)
 from .tensors import (TensorError, csv_text, load_image, load_tensor,
                       read_text, save_tensor, write_text_atomic)
@@ -178,6 +178,7 @@ def _attack_cfg(args):
 
 
 def _cmd_attack(args):
+    _check_rule(args.threshold, args.slack)  # before the attack, not after it
     model = _model_from_args(args)
     images = _load_images(args.images)
     model.boundary_of(args.boundary)
@@ -249,6 +250,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_report(args):
+    if args.threshold is not None:
+        _check_rule(args.threshold, DEFAULT_SLACK)  # the chart draws no slack
     scores = scores_from_csv(read_text(args.privacy, PrivacyError,
                                        "privacy report"))
     labels = [lab for lab, _ in scores]

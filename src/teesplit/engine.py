@@ -12,8 +12,8 @@ outputs, and running a split model's two halves back to back is bitwise
 identical to running the unsplit chain.
 
 The forward pass streams its memory. Columns are built and multiplied in
-blocks of whole output rows of at most ``_COLS_BLOCK_BYTES`` (8 MB; one row
-when a row alone is larger), each product written into its slice of the
+blocks of whole output rows of at most ``graph._COLS_BLOCK_BYTES`` (8 MB;
+one row when a row alone is larger), each product written into its slice of the
 preallocated output. The budget sits below glibc's 32 MB ceiling on its
 dynamic mmap threshold, so blocks are recycled from the heap instead of
 being page-faulted fresh on every call; a layer whose columns fit is a
@@ -45,8 +45,21 @@ input gradient comes from the accepted candidate's kept activations.
 
 Weights are materialized lazily from each layer's seed (He-style fan-in
 scaling, zero biases) in the layout ``graph.weight_shapes`` gives, and cached
-by kind, seed, init and those shapes, so the two halves of a split share the
-original layers' weights.
+by ``graph.weight_key`` (kind, seed, init and those shapes), so the two
+halves of a split share the original layers' weights.
+
+Every pass walks the graph's ``schedule``, computed once per ``ModelGraph``
+and kept on it: per layer, the slots it reads, the slots that die after it,
+its weight key, and its geometry (kernel, stride, padding, input and output
+shapes, and a conv's rows per column block). Each layer's kind picks its
+forward and backward from ``_KERNELS``, so a pass re-derives nothing about
+the graph. The schedule deliberately holds no weights: they are looked up
+in ``_WEIGHTS`` by key once per layer and pass, so clearing that cache (or
+drawing other weights into it) takes effect on a graph already compiled,
+and the cache alone decides how many weights are kept. Nor does it hold
+anything activation-sized, such as max pooling's index maps: a graph that
+only runs forward, or is only split, would carry them for nothing, so
+compiling costs O(layers) in scalars.
 """
 
 from __future__ import annotations
@@ -56,8 +69,8 @@ import math
 import numpy as np
 
 from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, ELEMENT_SIZE, FC,
-                    FLATTEN, GAP, MAXPOOL, RELU, SIGMOID, SWISH, _refs,
-                    source_of, weight_shapes)
+                    FLATTEN, GAP, MAXPOOL, RELU, SIGMOID, SWISH, weight_key,
+                    weight_shapes)
 from .tensors import require_tensor
 
 
@@ -65,9 +78,8 @@ class EngineError(ValueError):
     """Raised for invalid inputs to the execution engine."""
 
 
-# bytes of im2col columns per forward block (see the module docstring)
-_COLS_BLOCK_BYTES = 8 << 20
-# bytes of _col2im's per-offset planes per channel block (see above)
+# bytes of _col2im's per-offset planes per channel block (see the module
+# docstring)
 _PLANES_BLOCK_BYTES = 1 << 20
 
 
@@ -91,15 +103,9 @@ def _materialize(layer):
     return {"w": w, "b": np.zeros(shapes["b"])}
 
 
-def layer_weights(layer):
-    """Materialized weights for a parameterized layer (cached; treat as
-    read-only). Returns None for parameterless kinds."""
-    shapes = weight_shapes(layer)
-    if not shapes:
-        return None
-    p = layer.params
-    # the shapes fix every parameter the weights depend on besides these
-    key = (layer.kind, p.get("seed", 0), p.get("init", "he"), *shapes.values())
+def _weights(key, layer):
+    """The weights cached under ``key``, the layer's ``weight_key``,
+    materialized on first use."""
     got = _WEIGHTS.get(key)
     if got is None:
         got = _materialize(layer)
@@ -107,6 +113,13 @@ def layer_weights(layer):
             arr.setflags(write=False)
         _WEIGHTS[key] = got
     return got
+
+
+def layer_weights(layer):
+    """Materialized weights for a parameterized layer (cached; treat as
+    read-only). Returns None for parameterless kinds."""
+    key = weight_key(layer)
+    return None if key is None else _weights(key, layer)
 
 
 def clear_weight_cache():
@@ -131,9 +144,13 @@ def _windows(x, k, stride, pad, fill=0.0):
     c, h, w = x.shape
     xp = np.ascontiguousarray(x)  # same strides as a padded copy
     if pad:
-        xp = np.full((c, h + 2 * pad, w + 2 * pad), fill, dtype=x.dtype)
+        shape = (c, h + 2 * pad, w + 2 * pad)
+        # np.zeros is one C call where np.full is a Python function
+        xp = (np.full(shape, fill, dtype=x.dtype) if fill
+              else np.zeros(shape, dtype=x.dtype))
         xp[:, pad:pad + h, pad:pad + w] = x
-    oh, ow = ((n - k) // stride + 1 for n in xp.shape[1:])
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (w + 2 * pad - k) // stride + 1
     sc, sh, sw = xp.strides
     win = np.ndarray((c, oh, ow, k, k), xp.dtype, xp, 0,
                      (sc, sh * stride, sw * stride, sh, sw))
@@ -163,42 +180,35 @@ def _col2im(gwin, x_shape, s, pad):
     return xpg[:, pad:pad + h, pad:pad + w] if pad else xpg
 
 
-def _conv_fwd(layer, x):
-    p = layer.params
-    w = layer_weights(layer)
-    o = p["out_channels"]
-    win = _windows(x, p["kernel"], p["stride"], p["padding"])
-    c, oh, ow, k, _ = win.shape
+def _conv_fwd(st, x, w, acts):
+    win = _windows(x, st.kernel, st.stride, st.padding)
+    o, oh, ow = st.out_shape
     wmat = w["w"].reshape(o, -1)
     out = np.empty((o, oh * ow))
-    rows = max(1, _COLS_BLOCK_BYTES // (c * k * k * ow * 8))
+    rows = st.rows
     for r in range(0, oh, rows):
         # (C*k*k, rows*OW) columns: each copied run is a whole output row,
         # and a one-block 1x1 stride-1 unpadded view is already contiguous
         cols = np.ascontiguousarray(win[:, r:r + rows].transpose(0, 3, 4, 1, 2))
-        cols = cols.reshape(c * k * k, -1)
+        cols = cols.reshape(wmat.shape[1], -1)
         np.matmul(wmat, cols, out=out[:, r * ow:r * ow + cols.shape[1]])
     out += w["b"][:, None]
     return out.reshape(o, oh, ow)
 
 
-def _conv_bwd(layer, g, x):
-    p = layer.params
-    w = layer_weights(layer)["w"]
-    k = p["kernel"]
-    o, oh, ow = g.shape
-    gcols = w.reshape(o, -1).T @ g.reshape(o, oh * ow)  # (C*k*k, OH*OW)
-    gwin = gcols.reshape(p["in_channels"], k, k, oh, ow).transpose(0, 3, 4, 1, 2)
-    return _col2im(gwin, x.shape, p["stride"], p["padding"])
+def _conv_bwd(st, g, x, w, acts):
+    k = st.kernel
+    o, oh, ow = st.out_shape
+    gcols = w["w"].reshape(o, -1).T @ g.reshape(o, oh * ow)  # (C*k*k, OH*OW)
+    gwin = gcols.reshape(st.in_shape[0], k, k, oh, ow).transpose(0, 3, 4, 1, 2)
+    return (_col2im(gwin, st.in_shape, st.stride, st.padding),)
 
 
-def _dwconv_fwd(layer, x):
-    p = layer.params
-    w = layer_weights(layer)
-    k = p["kernel"]
-    win = _windows(x, k, p["stride"], p["padding"])
+def _dwconv_fwd(st, x, w, acts):
+    k = st.kernel
+    win = _windows(x, k, st.stride, st.padding)
     # one (C, OH, OW) slab per kernel offset, in _col2im's row-major order
-    out = np.zeros(win.shape[:3])
+    out = np.zeros(st.out_shape)
     for i in range(k):
         for j in range(k):
             out += win[:, :, :, i, j] * w["w"][:, i, j, None, None]
@@ -206,18 +216,15 @@ def _dwconv_fwd(layer, x):
     return out
 
 
-def _dwconv_bwd(layer, g, x):
-    p = layer.params
-    w = layer_weights(layer)["w"]
+def _dwconv_bwd(st, g, x, w, acts):
     # (k, k, C, OH, OW) products, viewed as (C, OH, OW, k, k)
-    gwin = (w.transpose(1, 2, 0)[:, :, :, None, None] * g).transpose(2, 3, 4, 0, 1)
-    return _col2im(gwin, x.shape, p["stride"], p["padding"])
+    gwin = (w["w"].transpose(1, 2, 0)[:, :, :, None, None] * g).transpose(2, 3, 4, 0, 1)
+    return (_col2im(gwin, st.in_shape, st.stride, st.padding),)
 
 
-def _maxpool_fwd(layer, x):
-    p = layer.params
-    k = p["kernel"]
-    win = _windows(x, k, p["stride"], p.get("padding", 0), fill=-np.inf)
+def _maxpool_fwd(st, x, w, acts):
+    k = st.kernel
+    win = _windows(x, k, st.stride, st.padding, fill=-np.inf)
     out = win[:, :, :, 0, 0].copy()
     # on a tie np.maximum returns its second operand: the earlier offset
     for i in range(k):
@@ -227,21 +234,32 @@ def _maxpool_fwd(layer, x):
     return out
 
 
-def _maxpool_bwd(layer, g, x):
+def _maxpool_bwd(st, g, x, w, acts):
     """Route each window's gradient to its first argmax, recomputed from the
     input; ``bincount`` sums the terms of a pixel in window order from zero."""
-    p = layer.params
-    k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
+    k, s, pad = st.kernel, st.stride, st.padding
     win = _windows(x, k, s, pad, fill=-np.inf)
-    c, oh, ow = win.shape[:3]
-    hp, wp = x.shape[1] + 2 * pad, x.shape[2] + 2 * pad
-    idx = np.argmax(win.reshape(c, oh, ow, k * k), axis=-1)
+    c, oh, ow = st.out_shape
+    _, h, wd = st.in_shape
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    idx = win.reshape(c, oh, ow, k * k).argmax(axis=-1)
     # flat padded index: window corner plus the argmax's offset in the window
     corner = np.arange(c * hp * wp).reshape(c, hp, wp)[:, :s * oh:s, :s * ow:s]
     offset = (np.arange(k)[:, None] * wp + np.arange(k)).ravel()
     xpg = np.bincount((corner + offset[idx]).ravel(), weights=g.ravel(),
                       minlength=c * hp * wp).reshape(c, hp, wp)
-    return xpg[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] if pad else xpg
+    return (xpg[:, pad:pad + h, pad:pad + wd] if pad else xpg,)
+
+
+def _avgpool_fwd(st, x, w, acts):
+    win = _windows(x, st.kernel, st.stride, st.padding)
+    return np.ascontiguousarray(win.mean(axis=(-2, -1)))
+
+
+def _avgpool_bwd(st, g, x, w, acts):
+    k = st.kernel
+    gwin = np.broadcast_to((g / (k * k))[..., None, None], g.shape + (k, k))
+    return (_col2im(gwin, st.in_shape, st.stride, st.padding),)
 
 
 def _sigmoid(x):
@@ -249,107 +267,72 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def _forward_layer(layer, x, acts):
-    """Output of one layer from its source ``x`` and, by reference, ``acts``."""
-    kind = layer.kind
-    p = layer.params
-    if kind == CONV:
-        return _conv_fwd(layer, x)
-    if kind == DWCONV:
-        return _dwconv_fwd(layer, x)
-    if kind == FC:
-        w = layer_weights(layer)
-        return w["w"] @ x.reshape(-1) + w["b"]
-    if kind == RELU:
-        return np.maximum(x, 0.0)
-    if kind == SWISH:
-        return x * _sigmoid(x)
-    if kind == SIGMOID:
-        return _sigmoid(x)
-    if kind == BNORM:
-        w = layer_weights(layer)
-        return x * w["gamma"][:, None, None] + w["beta"][:, None, None]
-    if kind == MAXPOOL:
-        return _maxpool_fwd(layer, x)
-    if kind == AVGPOOL:
-        win = _windows(x, p["kernel"], p["stride"], p.get("padding", 0))
-        return np.ascontiguousarray(win.mean(axis=(-2, -1)))
-    if kind == GAP:
-        return x.mean(axis=(1, 2), keepdims=True)
-    if kind == ADD:
-        return x + acts[p["skip_source"]]
-    if kind == CMUL:
-        return acts[p["map_source"]] * x.reshape(-1)[:, None, None]
-    if kind == FLATTEN:
-        return x.reshape(-1)
-    raise EngineError(f"layer {layer.name!r}: unknown kind {kind!r}")
+def _swish_bwd(st, g, x, w, acts):
+    s = _sigmoid(x)
+    return (g * (s + x * s * (1.0 - s)),)
 
 
-def _backward_layer(layer, g, x, acts):
-    """Returns (grad wrt input, [(ref_index, grad) for extra operands])."""
-    kind = layer.kind
-    p = layer.params
-    if kind == CONV:
-        return _conv_bwd(layer, g, x), []
-    if kind == DWCONV:
-        return _dwconv_bwd(layer, g, x), []
-    if kind == FC:
-        w = layer_weights(layer)["w"]
-        return (w.T @ g).reshape(x.shape), []
-    if kind == RELU:
-        return g * (x > 0.0), []
-    if kind == SWISH:
-        s = _sigmoid(x)
-        return g * (s + x * s * (1.0 - s)), []
-    if kind == SIGMOID:
-        s = _sigmoid(x)
-        return g * s * (1.0 - s), []
-    if kind == BNORM:
-        return g * layer_weights(layer)["gamma"][:, None, None], []
-    if kind == MAXPOOL:
-        return _maxpool_bwd(layer, g, x), []
-    if kind == AVGPOOL:
-        k = p["kernel"]
-        gwin = np.broadcast_to((g / (k * k))[..., None, None], g.shape + (k, k))
-        return _col2im(gwin, x.shape, p["stride"], p.get("padding", 0)), []
-    if kind == GAP:
-        h, w = x.shape[1], x.shape[2]
-        return np.ascontiguousarray(np.broadcast_to(g / (h * w), x.shape)), []
-    if kind == ADD:
-        return g, [(p["skip_source"], g)]
-    if kind == CMUL:
-        u = acts[p["map_source"]]
-        gate = x.reshape(-1)
-        g_gate = (g * u).sum(axis=(1, 2)).reshape(x.shape)
-        return g_gate, [(p["map_source"], g * gate[:, None, None])]
-    if kind == FLATTEN:
-        return g.reshape(x.shape), []
-    raise EngineError(f"layer {layer.name!r}: unknown kind {kind!r}")
+def _sigmoid_bwd(st, g, x, w, acts):
+    s = _sigmoid(x)
+    return (g * s * (1.0 - s),)
+
+
+def _gap_bwd(st, g, x, w, acts):
+    _, h, wd = st.in_shape
+    return (np.ascontiguousarray(np.broadcast_to(g / (h * wd), st.in_shape)),)
+
+
+def _cmul_bwd(st, g, x, w, acts):
+    u = acts[st.refs[1]]
+    gate = x.reshape(-1)
+    return (g * u).sum(axis=(1, 2)).reshape(x.shape), g * gate[:, None, None]
+
+
+# kind -> (forward, backward). A forward takes (step, source activation,
+# weights or None, activations) and returns the layer's output; a backward
+# takes (step, output gradient, source activation, weights, activations)
+# and returns one gradient per slot in ``step.refs``, in that order.
+_KERNELS = {
+    CONV: (_conv_fwd, _conv_bwd),
+    DWCONV: (_dwconv_fwd, _dwconv_bwd),
+    FC: (lambda st, x, w, acts: w["w"] @ x.reshape(-1) + w["b"],
+         lambda st, g, x, w, acts: ((w["w"].T @ g).reshape(x.shape),)),
+    RELU: (lambda st, x, w, acts: np.maximum(x, 0.0),
+           lambda st, g, x, w, acts: (g * (x > 0.0),)),
+    SWISH: (lambda st, x, w, acts: x * _sigmoid(x), _swish_bwd),
+    SIGMOID: (lambda st, x, w, acts: _sigmoid(x), _sigmoid_bwd),
+    BNORM: (lambda st, x, w, acts: (x * w["gamma"][:, None, None]
+                                    + w["beta"][:, None, None]),
+            lambda st, g, x, w, acts: (g * w["gamma"][:, None, None],)),
+    MAXPOOL: (_maxpool_fwd, _maxpool_bwd),
+    AVGPOOL: (_avgpool_fwd, _avgpool_bwd),
+    GAP: (lambda st, x, w, acts: x.mean(axis=(1, 2), keepdims=True), _gap_bwd),
+    ADD: (lambda st, x, w, acts: x + acts[st.refs[1]],
+          lambda st, g, x, w, acts: (g, g)),
+    CMUL: (lambda st, x, w, acts: acts[st.refs[1]] * x.reshape(-1)[:, None, None],
+           _cmul_bwd),
+    FLATTEN: (lambda st, x, w, acts: x.reshape(-1),
+              lambda st, g, x, w, acts: (g.reshape(x.shape),)),
+}
+# kinds whose backward may return (a view of) its output gradient
+_PASS_THROUGH = (ADD, FLATTEN)
 
 
 def _run(model, x, upto, release=False):
     """Execute layers [0, upto); returns the activations in slot layout.
 
     With ``release`` (only ``forward`` sets it) each slot, the input's
-    included, is dropped after its last reader; only slot upto - 1 stays."""
+    included, is dropped after its last reader in the whole graph; slot
+    upto - 1 stays, and a prefix keeps the slots that later layers read."""
     acts = [None] * upto + [x]
-    if release:
-        # last[r]: the last layer to read slot r; a slot no layer reads dies
-        # where it is made, and the result is never dropped
-        last = list(range(upto + 1))
-        for i, layer in enumerate(model.layers[:upto]):
-            for _, r in _refs(layer, i):
-                last[r] = i
-        last[upto - 1] = upto
-        dead = [[] for _ in range(upto + 1)]
-        for r, i in enumerate(last):
-            dead[i].append(r)
-    for i in range(upto):
-        layer = model.layers[i]
-        acts[i] = _forward_layer(layer, acts[source_of(layer, i)], acts)
+    for st in model.schedule[:upto]:
+        w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
+        acts[st.index] = out = _KERNELS[st.kind][0](st, acts[st.source], w, acts)
         if release:
-            for r in dead[i]:
+            for r in st.dead:
                 acts[r] = None
+    if release:
+        acts[upto - 1] = out
     return acts
 
 
@@ -358,7 +341,7 @@ def forward(model, x):
     x = require_tensor(x, shape=model.input_shape, name="model input")
     n = len(model.layers)
     out = _run(model, x, n, release=True)[n - 1]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise EngineError(f"model {model.name!r}: non-finite output")
     return out
 
@@ -369,7 +352,7 @@ def _prefix(model, x, boundary_label):
     x = require_tensor(x, shape=model.input_shape, name="model input")
     b = model.boundary_of(boundary_label)
     acts = _run(model, x, b)
-    if not np.all(np.isfinite(acts[b - 1])):
+    if not np.isfinite(acts[b - 1]).all():
         raise EngineError(f"model {model.name!r}: non-finite activation at "
                           f"{boundary_label!r}")
     return b, acts
@@ -400,18 +383,21 @@ def input_gradient(model, boundary_label, x, cotangent):
 def _backward(model, acts, upto, cot):
     grads = [None] * (upto + 1)  # slot layout: the input's gradient is last
     grads[upto - 1] = cot
-    for i in range(upto - 1, -1, -1):
-        g = grads[i]
+    for st in reversed(model.schedule[:upto]):
+        g = grads[st.index]
         if g is None:
             continue  # activation only consumed beyond the boundary
-        layer = model.layers[i]
-        src = source_of(layer, i)
-        g_in, extras = _backward_layer(layer, g, acts[src], acts)
-        for r, ge in ((src, g_in), *extras):
-            # the first term is copied, so no gradient aliases ``cot``
-            grads[r] = ge.copy() if grads[r] is None else grads[r] + ge
+        w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
+        terms = _KERNELS[st.kind][1](st, g, acts[st.source], w, acts)
+        for r, ge in zip(st.refs, terms):
+            if grads[r] is not None:
+                grads[r] = grads[r] + ge
+            elif st.kind in _PASS_THROUGH:
+                grads[r] = ge.copy()  # so no gradient aliases ``cot``
+            else:
+                grads[r] = ge  # every other backward returns fresh memory
     # never None: every source lies below its layer, so every chain ends here
     gx = grads[-1]
-    if not np.all(np.isfinite(gx)):
+    if not np.isfinite(gx).all():
         raise EngineError(f"model {model.name!r}: non-finite gradient")
     return gx

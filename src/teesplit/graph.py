@@ -20,10 +20,14 @@ import json
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .tensors import read_json, write_text_atomic
 
 ELEMENT_SIZE = 4  # bytes per tensor element on the wire
+# bytes of im2col columns per conv forward block (see the engine's docstring)
+_COLS_BLOCK_BYTES = 8 << 20
 
 # layer kinds
 CONV = "Conv2d"
@@ -107,6 +111,30 @@ class Unit:
     counts: tuple = ()
 
 
+class Step(NamedTuple):
+    """The static facts of one layer that the engine runs it from.
+
+    ``refs`` are the slots the layer reads: its source, then its
+    ``skip_source`` / ``map_source`` operand when it has one. ``dead`` are
+    the slots whose last reader in the whole graph is this layer (a slot no
+    layer reads is its own maker's; the graph's result is nobody's).
+    ``kernel``, ``stride`` and ``padding`` are 0 for unwindowed kinds, and
+    ``rows`` is a conv's output rows per im2col block (0 for other kinds)."""
+    index: int
+    layer: LayerSpec
+    kind: str
+    refs: tuple
+    source: int
+    dead: tuple
+    weight_key: tuple | None
+    kernel: int
+    stride: int
+    padding: int
+    in_shape: tuple
+    out_shape: tuple
+    rows: int
+
+
 @dataclass(frozen=True)
 class ModelGraph:
     name: str
@@ -114,6 +142,38 @@ class ModelGraph:
     layers: tuple
     partition_points: tuple  # ((label, boundary), ...)
     units: tuple = ()
+
+    @cached_property
+    def schedule(self):
+        """One ``Step`` per layer, computed on first use and kept on the
+        instance; it holds no weights and nothing activation-sized."""
+        n = len(self.layers)
+        refs = [tuple(r for _, r in _refs(layer, i))
+                for i, layer in enumerate(self.layers)]
+        # last[r]: the last layer to read slot r (the input's is last[-1])
+        last = list(range(n)) + [n]
+        for i, rs in enumerate(refs):
+            for r in rs:
+                last[r] = i
+        last[n - 1] = n
+        dead = [[] for _ in range(n + 1)]
+        for r in range(-1, n):
+            dead[last[r]].append(r)
+        steps = []
+        for i, layer in enumerate(self.layers):
+            p = layer.params
+            src = refs[i][0]
+            in_shape = self.input_shape if src < 0 else self.layers[src].output_shape
+            k = p.get("kernel", 0)
+            rows = 0
+            if layer.kind == CONV:
+                row_bytes = in_shape[0] * k * k * layer.output_shape[2] * 8
+                rows = max(1, _COLS_BLOCK_BYTES // row_bytes)
+            steps.append(Step(i, layer, layer.kind, refs[i], src, tuple(dead[i]),
+                              weight_key(layer), k, p.get("stride", 0),
+                              p.get("padding", 0), in_shape, layer.output_shape,
+                              rows))
+        return tuple(steps)
 
     def boundary_of(self, label):
         for lab, b in self.partition_points:
@@ -273,6 +333,17 @@ def weight_shapes(layer):
     return {}
 
 
+def weight_key(layer):
+    """Key the engine caches the layer's weights under, None for kinds
+    without weights: kind, seed and init, plus the weight shapes, which fix
+    every other parameter the weights depend on."""
+    shapes = weight_shapes(layer)
+    if not shapes:
+        return None
+    p = layer.params
+    return (layer.kind, p.get("seed", 0), p.get("init", "he"), *shapes.values())
+
+
 def source_of(layer, i):
     """Index of the layer whose output layer ``i`` consumes (-1: the graph
     input)."""
@@ -307,6 +378,7 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     # slot layout: shapes[i] is layer i's output, shapes[-1] the input's
     shapes = [None] * len(layers) + [input_shape]
     inferred = []
+    least = []  # least[i]: the least slot layer i reads
     names = set()
     for i, layer in enumerate(layers):
         if not isinstance(layer.name, str):
@@ -318,7 +390,8 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
         if layer.kind not in KINDS:
             raise GraphError(f"layer {layer.name!r}: unknown kind {layer.kind!r}")
         params = _check_params(layer.name, layer.kind, layer.params)
-        for key, ref in _refs(layer, i):
+        refs = _refs(layer, i)
+        for key, ref in refs:
             try:
                 ok = -1 <= _index(ref) < i
             except TypeError:
@@ -326,6 +399,7 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
             if not ok:
                 raise GraphError(f"layer {layer.name!r}: {key} {ref} must name "
                                  f"an earlier layer")
+        least.append(min(ref for _, ref in refs))
         out_shape = _infer_shape(layer.name, layer.kind, params,
                                  shapes[source_of(layer, i)], shapes)
         shapes[i] = out_shape
@@ -374,14 +448,15 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
                                  f"inside a block")
 
     # a partition point must not be crossed by any reference other than to
-    # the activation feeding the suffix (index boundary-1, the exposed map)
+    # the activation feeding the suffix (index boundary-1, the exposed map);
+    # low[b] is the least slot that layers b onward read
+    low = list(itertools.accumulate(reversed(least), min))[::-1]
     for lab, b in pts:
-        for i, layer in enumerate(inferred[b:], b):
-            for _, r in _refs(layer, i):
-                if r < b - 1:
-                    raise GraphError(
-                        f"model {name!r}: layer {layer.name!r} reaches across "
-                        f"partition point {lab!r}")
+        if low[b] < b - 1:
+            i = next(i for i in range(b, len(least)) if least[i] < b - 1)
+            raise GraphError(
+                f"model {name!r}: layer {inferred[i].name!r} reaches across "
+                f"partition point {lab!r}")
 
     return ModelGraph(name=str(name), input_shape=input_shape,
                       layers=tuple(inferred), partition_points=tuple(pts),

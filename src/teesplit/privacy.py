@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,10 +150,10 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
         feat = state[1][b - 1]  # the activations' boundary slot
         # overflow here is the divergence signal, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
-            return state, feat, float(np.sum((feat - target) ** 2))
+            return state, feat, float(((feat - target) ** 2).sum())
 
     state, feat, loss = loss_of(x)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise InversionDivergenceError(0)
     step_size = cfg.step_size
     stale = 0
@@ -160,9 +161,9 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
         grad = engine._prefix_gradient(model, state, 2.0 * (feat - target))
         improved = False
         while step_size > 1e-14:
-            cand = np.clip(x - step_size * grad, lo, hi)
+            cand = (x - step_size * grad).clip(lo, hi)
             cand_state, cand_feat, cand_loss = loss_of(cand)
-            if not np.isfinite(cand_loss):
+            if not math.isfinite(cand_loss):
                 raise InversionDivergenceError(step)
             if cand_loss <= loss:
                 x, state, feat, loss = cand, cand_state, cand_feat, cand_loss

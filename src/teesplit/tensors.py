@@ -34,7 +34,7 @@ def require_tensor(x, shape=None, name="tensor"):
     if arr.ndim < 1:
         raise TensorError(f"{name} must have rank >= 1")
     arr = np.ascontiguousarray(arr)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise TensorError(f"{name} contains non-finite elements")
     if shape is not None and arr.shape != tuple(shape):
         raise TensorError(f"{name} has shape {arr.shape}, expected {tuple(shape)}")

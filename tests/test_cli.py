@@ -505,3 +505,29 @@ def test_undecodable_input_files_exit_one(tmp_path, capsys):
         assert captured.err.startswith("error: "), args[0]
         assert captured.err.count("\n") == 1, args[0]
         assert "Traceback" not in captured.err, args[0]
+
+
+@pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+def test_attack_and_report_check_threshold(tmp_path, capsys, monkeypatch,
+                                           threshold):
+    imgs = write_images(tmp_path / "imgs", n=1)
+    # the rule is checked before any attack runs
+    monkeypatch.setattr(ts.cli, "score_boundary", None)
+    out = tmp_path / "a.csv"
+    assert run(["attack", "--model", "toy4", "--input-shape", "1x16x16",
+                "--images", imgs, "--boundary", "L1", "--steps", "3",
+                "--threshold", threshold, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: threshold must be positive\n"
+    assert not out.exists()
+
+    priv = tmp_path / "privacy.csv"
+    priv.write_text("boundary,label,mean_ssim,n_samples,below_threshold\n"
+                    "1,L1,0.8,2,0\n2,L2,0.1,2,1\n")
+    svg = tmp_path / "chart.svg"
+    assert run(["report", "--privacy", str(priv), "--threshold", threshold,
+                "--out", str(svg)]) == 1
+    assert capsys.readouterr().err == "error: threshold must be positive\n"
+    assert not svg.exists()
+    # without --threshold the chart has no threshold line to check
+    assert run(["report", "--privacy", str(priv), "--out", str(svg)]) == 0

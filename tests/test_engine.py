@@ -6,7 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import teesplit as ts
 from teesplit import engine
-from teesplit.graph import LayerSpec
+from teesplit.graph import _COLS_BLOCK_BYTES, LayerSpec
 
 
 def spec(name, kind, source=None, **params):
@@ -194,7 +194,7 @@ def test_blocked_conv_matches_whole_column_product(nonzero_bias):
         oh, ow = win.shape[1:3]
         cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(
             c * k * k, oh * ow)
-        assert cols.nbytes > engine._COLS_BLOCK_BYTES, case
+        assert cols.nbytes > _COLS_BLOCK_BYTES, case
         w = ts.layer_weights(m.layers[0])
         want = w["w"].reshape(o, -1) @ cols + w["b"][:, None]
         got = ts.forward(m, x)
@@ -427,6 +427,75 @@ def test_maxpool_matches_argmax_oracle():
         got_g = ts.input_gradient(m, "P", x, g)
         assert got_g.tobytes() == np.ascontiguousarray(want_g).tobytes(), \
             (k, s, pad)
+
+
+def test_schedule_holds_no_weights(request):
+    layers = [spec("fl", ts.FLATTEN), spec("fc", ts.FC, in_features=12,
+                                           units=5, seed=7)]
+    m = graph((3, 2, 2), layers)
+    x = np.random.default_rng(1).standard_normal((3, 2, 2))
+    m.schedule  # compiled while the cached biases are zero
+    w0 = ts.layer_weights(m.layers[1])
+    assert np.array_equal(ts.forward(m, x), w0["w"] @ x.reshape(-1))
+    request.getfixturevalue("nonzero_bias")
+    w = ts.layer_weights(m.layers[1])
+    assert w["b"].min() > 0
+    assert np.array_equal(ts.forward(m, x), w["w"] @ x.reshape(-1) + w["b"])
+
+
+@pytest.mark.parametrize("name, shape", [("toy4", (1, 16, 16)),
+                                         ("resnet50", (3, 64, 64))])
+def test_warm_run_and_backward_rederive_nothing(monkeypatch, name, shape):
+    m = ts.resolve_model(name, shape, seed=3)
+    x = np.random.default_rng(2).uniform(0, 1, shape)
+    n = len(m.layers)
+    cot = np.random.default_rng(3).standard_normal(m.output_shape)
+    want = engine._backward(m, engine._run(m, x, n), n, cot)  # warm
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # patched where each name is looked up: graph's own globals, and the
+    # engine's imports of them
+    for module in (ts.graph, engine):
+        for fn in ("source_of", "_refs", "weight_shapes"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, counted(getattr(module, fn)))
+    got = engine._backward(m, engine._run(m, x, n), n, cot)
+    assert calls == []
+    assert np.array_equal(got, want)
+
+
+def test_input_gradient_aliases_no_cotangent_or_activation():
+    conv = dict(in_channels=2, out_channels=2, kernel=1, stride=1, padding=0)
+    cases = [
+        # the boundary sits right after a Flatten of the input
+        ([spec("fl", ts.FLATTEN), spec("r", ts.RELU)], 1),
+        # a residual Add, then a Flatten at the boundary
+        ([spec("c", ts.CONV, seed=1, **conv), spec("r", ts.RELU),
+          spec("a", ts.ADD, skip_source=-1), spec("fl", ts.FLATTEN),
+          spec("fc", ts.FC, in_features=18, units=2, seed=2)], 4),
+        # a squeeze-excitation gate on the input, then a Flatten
+        ([spec("g", ts.GAP), spec("fl", ts.FLATTEN),
+          spec("fc", ts.FC, in_features=2, units=2, seed=3),
+          spec("s", ts.SIGMOID), spec("m", ts.CMUL, map_source=-1),
+          spec("fl2", ts.FLATTEN), spec("r", ts.RELU)], 6),
+    ]
+    rng = np.random.default_rng(9)
+    for layers, b in cases:
+        m = graph((2, 3, 3), layers, [("B", b)])
+        x = rng.standard_normal(m.input_shape)
+        state = engine._prefix(m, x, "B")
+        cot = rng.standard_normal(state[1][b - 1].shape)
+        gx = engine._prefix_gradient(m, state, cot)
+        assert gx.shape == m.input_shape
+        assert not np.shares_memory(gx, cot), b
+        for act in state[1]:
+            assert not np.shares_memory(gx, act), b
 
 
 def test_split_halves_share_weights_bitwise(toy4):

@@ -120,6 +120,22 @@ def test_skip_reference_may_not_cross_boundary():
         ts.split(forged, "A")
 
 
+def test_crossing_error_names_first_point_and_its_first_crossing_layer():
+    # a3 crosses P1 (it reads slot 0); a5 crosses P1 and P2 (it reads the
+    # input), and layers from P1 onward read nothing lower than a5 does
+    layers = chain(("r0", ts.RELU, {}), ("r1", ts.RELU, {}), ("r2", ts.RELU, {}),
+                   ("a3", ts.ADD, {"skip_source": 0}), ("r4", ts.RELU, {}),
+                   ("a5", ts.ADD, {"skip_source": -1}))
+    cases = [([("P1", 2), ("P2", 4)], "layer 'a3' reaches across partition "
+                                      "point 'P1'"),
+             ([("P2", 4), ("P3", 5)], "layer 'a5' reaches across partition "
+                                      "point 'P2'")]
+    for points, message in cases:
+        with pytest.raises(ts.GraphError) as err:
+            ts.make_graph("m", (1, 4, 4), layers, points)
+        assert str(err.value) == f"model 'm': {message}"
+
+
 def test_split_shifts_sources_and_preserves_layers(toy4):
     for label in toy4.labels():
         b = toy4.boundary_of(label)
