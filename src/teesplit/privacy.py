@@ -141,32 +141,39 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     if steps < 1 or not (0 < cfg.step_size < np.inf):
         raise PrivacyError(f"attack needs integer steps >= 1 and a finite step "
                            f"size > 0, got {cfg.steps!r}, {cfg.step_size!r}")
-    rng = np.random.default_rng(cfg.init_seed)
-    x = rng.uniform(lo, hi, size=model.input_shape)
+    # the accepted point and the candidate, each with the prefix bound over
+    # its own activations; an accepted candidate swaps the two, so each
+    # step's gradient reuses the accepted point's activations
+    acc, cand = engine._arenas(model, boundary_label)
+    np.copyto(acc.x, np.random.default_rng(cfg.init_seed).uniform(
+        lo, hi, size=model.input_shape))
+    diff = np.empty(target.shape)
 
-    def loss_of(candidate):
-        # the prefix state is kept so the next step's gradient reuses it
-        state = engine._prefix(model, candidate, boundary_label)
-        feat = state[1][b - 1]  # the activations' boundary slot
+    def loss_of(arena):
+        arena.run()
         # overflow here is the divergence signal, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
-            return state, feat, float(((feat - target) ** 2).sum())
+            np.subtract(arena.feat, target, out=diff)
+            return float(np.square(diff, out=diff).sum())
 
-    state, feat, loss = loss_of(x)
+    loss = loss_of(acc)
     if not math.isfinite(loss):
         raise InversionDivergenceError(0)
     step_size = cfg.step_size
     stale = 0
     for step in range(1, cfg.steps + 1):
-        grad = engine._prefix_gradient(model, state, 2.0 * (feat - target))
+        grad = acc.gradient(2.0 * (acc.feat - target))
         improved = False
         while step_size > 1e-14:
-            cand = (x - step_size * grad).clip(lo, hi)
-            cand_state, cand_feat, cand_loss = loss_of(cand)
+            # cand.x = clip(acc.x - step_size * grad)
+            np.multiply(grad, step_size, out=cand.x)
+            np.subtract(acc.x, cand.x, out=cand.x)
+            cand.x.clip(lo, hi, out=cand.x)
+            cand_loss = loss_of(cand)
             if not math.isfinite(cand_loss):
                 raise InversionDivergenceError(step)
             if cand_loss <= loss:
-                x, state, feat, loss = cand, cand_state, cand_feat, cand_loss
+                acc, cand, loss = cand, acc, cand_loss
                 improved = True
                 break
             step_size *= 0.5
@@ -178,7 +185,7 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
             stale += 1
             if stale >= 20:
                 break
-    return x
+    return acc.x
 
 
 def feasible_boundaries(values, threshold, slack):

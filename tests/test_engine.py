@@ -264,6 +264,15 @@ def test_activation_oracles():
     assert np.allclose(ts.forward(m, x), 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
     m = graph((1, 6, 6), [spec("w", ts.SWISH)])
     assert np.allclose(ts.forward(m, x), x / (1.0 + np.exp(-x)), atol=1e-15)
+    # bitwise the two-branch form, at signed zeros and where exp underflows
+    v = np.array([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 36.0, -36.0,
+                  745.0, -745.0, 800.0, -800.0]).reshape(1, 3, 4)
+    z = np.exp(-np.abs(v))
+    want = np.where(v >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    m = graph((1, 3, 4), [spec("s", ts.SIGMOID)])
+    assert ts.forward(m, v).tobytes() == want.tobytes()
+    m = graph((1, 3, 4), [spec("w", ts.SWISH)])
+    assert ts.forward(m, v).tobytes() == (v * want).tobytes()
 
 
 def test_bnorm_forward_is_channel_affine():
@@ -489,13 +498,57 @@ def test_input_gradient_aliases_no_cotangent_or_activation():
     for layers, b in cases:
         m = graph((2, 3, 3), layers, [("B", b)])
         x = rng.standard_normal(m.input_shape)
-        state = engine._prefix(m, x, "B")
-        cot = rng.standard_normal(state[1][b - 1].shape)
-        gx = engine._prefix_gradient(m, state, cot)
+        acts = engine._run(m, x, b)
+        cot = rng.standard_normal(acts[b - 1].shape)
+        gx = engine._backward(m, acts, b, cot)
         assert gx.shape == m.input_shape
         assert not np.shares_memory(gx, cot), b
-        for act in state[1]:
+        for act in acts:
             assert not np.shares_memory(gx, act), b
+
+        # the bound prefix: a gradient from one arena shares no memory with
+        # either arena's activations or the cotangent, and the other arena
+        # running a candidate leaves it as it was
+        one, other = engine._arenas(m, "B")
+        np.copyto(one.x, x)
+        one.run()
+        got = one.gradient(cot)
+        assert got.tobytes() == gx.tobytes(), b
+        for act in one.acts + other.acts + [cot]:
+            assert not np.shares_memory(got, act), b
+        kept = got.tobytes()
+        np.copyto(other.x, rng.standard_normal(m.input_shape))
+        other.run()
+        assert got.tobytes() == kept, b
+
+
+def test_arenas_match_public_api_bitwise_on_random_models():
+    # every kind, bound over two arenas that share scratch and transient
+    # arrays; each arena's runs and gradients, taken in turn, equal
+    # forward_until and input_gradient, and a gradient survives the other
+    # arena's run and gradient that follow it
+    rng = np.random.default_rng(77)
+    kinds = set()
+    for _ in range(60):
+        m = build_random_model(rng)
+        kinds.update(layer.kind for layer in m.layers)
+        arenas = engine._arenas(m, "Z")
+        last = None
+        for turn in range(4):
+            arena = arenas[turn % 2]
+            x = rng.uniform(0.05, 0.95, m.input_shape)
+            ct = rng.standard_normal(arena.feat.shape)
+            np.copyto(arena.x, x)
+            arena.run()
+            assert arena.feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
+            if last is not None:
+                assert last[0].tobytes() == last[1], m.layers
+            g = arena.gradient(ct)
+            assert g.tobytes() == ts.input_gradient(m, "Z", x, ct).tobytes()
+            if last is not None:
+                assert last[0].tobytes() == last[1], m.layers
+            last = g, g.tobytes()
+    assert kinds == ALL_KINDS, ALL_KINDS - kinds
 
 
 def test_split_halves_share_weights_bitwise(toy4):
@@ -544,7 +597,7 @@ def test_col2im_matches_scalar_scatter():
     # each pixel sums its window terms in row-major kernel-offset order,
     # starting from zero: the order the engine's gradients are pinned to
     rng = np.random.default_rng(6)
-    # enough channels that _col2im's planes span more than one block
+    # enough channels that the planes span more than one block
     blocked = engine._PLANES_BLOCK_BYTES // (5 * 5 * 13 * 11 * 8) + 1
     assert blocked > 1
     cases = [((2, 9, 7), 3, 1, 1), ((2, 9, 7), 3, 2, 1),
@@ -569,7 +622,9 @@ def test_col2im_matches_scalar_scatter():
                                 want[ch, y * stride + i, xx * stride + j] += \
                                     gwin[ch, y, xx, i, j]
             want = want[:, pad:pad + x_shape[1], pad:pad + x_shape[2]]
-            got = engine._col2im(gwin, x_shape, stride, pad)
+            got = np.empty(x_shape)
+            engine._call(engine._bind_col2im(gwin, got, stride, pad,
+                                             engine._Scratch()))
             assert got.tobytes() == want.tobytes(), (x_shape, k, stride, pad)
             if negzero:  # a sum from +0.0 never ends at -0.0
                 assert not np.signbit(got).any()

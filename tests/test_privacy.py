@@ -180,27 +180,43 @@ def oracle_inversion(model, label, exposed, cfg, on_step):
     return x
 
 
-@pytest.mark.parametrize("which", ["toy4", "wide"])
-def test_inversion_matches_public_api_oracle(which):
-    if which == "toy4":
-        m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
-    else:
-        m = shallow_wide_model()
-    x = smooth_images(1, m.input_shape, seed=12)[0]
-    for bi, label in enumerate(m.labels()):
-        f = ts.forward_until(m, x, label)
+@pytest.mark.parametrize("which", ["toy4", "wide", "resnet50", "efficientnetb0"])
+def test_inversion_matches_public_api_oracle(which, monkeypatch):
+    if which in ("toy4", "wide"):
+        m = (ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+             if which == "toy4" else shallow_wide_model())
         # a large first step forces line-search halvings; a step below the
         # 1e-14 floor never moves, so the attack stops after 20 stale steps
-        for steps, step_size in [(25, 2.0), (30, 1e-15)]:
-            cfg = ts.AttackConfig(steps=steps, step_size=step_size,
-                                  init_seed=bi)
-            got, want = [], []
-            r = ts.invert_feature_map(m, label, f, cfg,
-                                      on_step=lambda s, l: got.append((s, l)))
-            r_oracle = oracle_inversion(m, label, f, cfg,
-                                        lambda s, l: want.append((s, l)))
-            assert r.tobytes() == r_oracle.tobytes(), (label, step_size)
-            assert got == want, (label, step_size)
+        cases = [(label, steps, step_size) for label in m.labels()
+                 for steps, step_size in [(25, 2.0), (30, 1e-15)]]
+    else:
+        # ResNet-50's Layer 2 ends in a residual Add and its ReLU; the
+        # EfficientNet-B0 prefixes hold depthwise conv, batch norm, Swish
+        # and a squeeze-excitation block (GAP, FC, Sigmoid, channel gate),
+        # ending after that block (Layer 2) or right after an Add (Layer 3)
+        m = ts.build_architecture(which, (3, 32, 32), seed=1)
+        cases = {"resnet50": [("Layer 2", 4, 2.0)],
+                 "efficientnetb0": [("Layer 2", 4, 2.0),
+                                    ("Layer 3", 4, 50.0)]}[which]
+    x = smooth_images(1, m.input_shape, seed=12)[0]
+    candidates = []
+    oracle_forward = ts.forward_until
+    monkeypatch.setattr(ts, "forward_until", lambda *args: (
+        candidates.append(args), oracle_forward(*args))[1])
+    for label, steps, step_size in cases:
+        bi = m.labels().index(label)
+        f = oracle_forward(m, x, label)
+        cfg = ts.AttackConfig(steps=steps, step_size=step_size, init_seed=bi)
+        got, want = [], []
+        r = ts.invert_feature_map(m, label, f, cfg,
+                                  on_step=lambda s, l: got.append((s, l)))
+        candidates.clear()
+        r_oracle = oracle_inversion(m, label, f, cfg,
+                                    lambda s, l: want.append((s, l)))
+        assert r.tobytes() == r_oracle.tobytes(), (label, step_size)
+        assert got == want, (label, step_size)
+        if step_size > 1.0:  # the start point, then more than one per step
+            assert len(candidates) > 1 + len(want), (label, len(candidates))
 
 
 @pytest.mark.parametrize("steps, step_size", [
