@@ -19,9 +19,9 @@ one row when a row alone is larger), each product written into its slice of the
 preallocated output. The budget sits below glibc's 32 MB ceiling on its
 dynamic mmap threshold, so blocks are recycled from the heap instead of
 being page-faulted fresh on every call; a layer whose columns fit is a
-single block. ``forward`` also drops each activation after the last layer
-that reads it; ``forward_until`` and ``input_gradient`` keep every
-activation for the backward pass.
+single block. Every pass drops each activation after the last layer that
+reads it, except the activations the backward reads, which
+``input_gradient`` and an ``_Arena`` keep.
 
 Activations, and the gradients of the backward pass, are held the way
 layers reference them: one slot per layer, then the graph input, so a
@@ -62,10 +62,17 @@ arrays its gradient terms go to), it fetches the weights and builds every
 view the arithmetic needs: weight reshapes, the strided window and column
 views, max pooling's routing base, the ``_bind_col2im`` placement views. It
 returns the call step: a list of ops, (numpy function, arguments) tuples
-that only do arithmetic, writing with ``out=`` into those arrays. ``_run``
-and ``_backward`` bind each layer and apply its ops at once, then drop
-them, so ``forward``, ``forward_until`` and ``input_gradient`` hold nothing
-past their return.
+that only do arithmetic, writing with ``out=`` into those arrays.
+
+Two binders bind every pass: ``_bind_prefix`` the forward of layers
+[0, b), ``_bind_gradient`` their backward. Each hands a layer's ops to its
+caller's ``apply`` before the next layer binds: ``forward``,
+``forward_until`` and ``input_gradient`` pass ``_call``, which runs them
+at once on fresh arrays and drops them, so those passes hold nothing past
+their return; an ``_Arena`` passes ``list.extend`` and keeps them. Which
+slots die where comes from the schedule's ``Step.dead`` alone. It holds
+for any prefix that ends at a partition point, because ``make_graph``
+lets no reference but the one to slot b - 1 cross a partition point.
 
 An ``_Arena`` binds a whole prefix, forward and backward, and keeps the
 ops. It owns the input, the boundary activation, the input gradient and
@@ -78,7 +85,7 @@ temporaries), is one buffer as large as the largest kernel's requests, and
 every kernel of both arenas views it; activations no backward reads, and
 gradients, are arrays handed back and reused once their last reader has
 run. So scratch is never kept per layer, and no buffer is module-level: the
-``_Scratch`` of ``_run`` and ``_backward`` hands out fresh arrays.
+``_Scratch`` of the public passes hands out fresh arrays.
 """
 
 from __future__ import annotations
@@ -507,16 +514,40 @@ _KERNELS = {
 }
 
 
-def _bind(st, acts, out, scratch):
-    """Bind layer ``st``'s forward over ``acts`` and ``out``: its output goes
-    into slot ``st.index`` and the ops that fill it are returned."""
+def _bind(st, acts, keep, scratch):
+    """Bind layer ``st``'s forward over ``acts`` and return the ops that fill
+    its output: slot ``st.index``, a fresh array if the slot is in ``keep``
+    and one from ``scratch.take`` otherwise."""
     scratch.start()
+    out = (np.empty(st.out_shape) if st.index in keep
+           else scratch.take(st.out_shape))
     w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
     acts[st.index], ops = _KERNELS[st.kind][0](st, acts, out, w, scratch)
     return ops
 
 
-def _bind_backward(st, acts, grads, scratch):
+def _bind_prefix(model, upto, acts, keep, scratch, apply):
+    """Bind layers [0, upto) over ``acts``, the activations in slot layout,
+    and hand each layer's ops to ``apply`` before the next layer binds.
+
+    After each layer, the slots in its ``Step.dead`` outside ``keep`` are
+    given back to ``scratch`` and set to None. At the graph's end or at a
+    partition point, which only a reference to slot upto - 1 crosses, that
+    slot never dies and every other slot dies inside the prefix."""
+    for st in model.schedule[:upto]:
+        apply(_bind(st, acts, keep, scratch))
+        for r in st.dead:
+            if r not in keep:
+                scratch.give(acts[r])
+                acts[r] = None
+
+
+def _kept(steps):
+    """The slots whose values the backward of ``steps`` reads (``_KERNELS``)."""
+    return {r for st in steps for r in _KERNELS[st.kind][2](st)}
+
+
+def _bind_backward(model, st, acts, grads, scratch):
     """Bind layer ``st``'s backward over ``acts`` and ``grads`` and return
     its ops. It reads grads[st.index], which it then gives back to
     ``scratch``. A slot's first term is written into an array from
@@ -527,11 +558,11 @@ def _bind_backward(st, acts, grads, scratch):
     w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
     dsts, later = [], []
     for r in st.refs:
+        shape = model.input_shape if r < 0 else model.layers[r].output_shape
         later.append(grads[r] is not None)
         if later[-1]:
-            dsts.append(scratch(acts[r].shape))
+            dsts.append(scratch(shape))
         else:
-            shape = acts[r].shape
             grads[r] = np.empty(shape) if r < 0 else scratch.take(shape)
             dsts.append(grads[r])
     terms, ops = _KERNELS[st.kind][1](st, g, acts, w, dsts, scratch)
@@ -544,6 +575,20 @@ def _bind_backward(st, acts, grads, scratch):
     scratch.give(g)
     grads[st.index] = None
     return ops
+
+
+def _bind_gradient(model, upto, acts, cot, scratch, apply):
+    """Bind the backward of layers [0, upto) over ``acts``, from cotangent
+    ``cot`` on slot upto - 1, and hand each layer's ops to ``apply`` before
+    the next layer binds. Returns the input's gradient array, which holds
+    the gradient once every op has been applied."""
+    grads = [None] * (upto + 1)  # slot layout: the input's gradient is last
+    grads[upto - 1] = cot
+    for st in reversed(model.schedule[:upto]):
+        if grads[st.index] is not None:  # else only read beyond the boundary
+            apply(_bind_backward(model, st, acts, grads, scratch))
+    # never None: every source lies below its layer, so every chain ends here
+    return grads[-1]
 
 
 class _Arena:
@@ -563,35 +608,21 @@ class _Arena:
         b = model.boundary_of(boundary_label)
         self._where = f"model {model.name!r}"
         self._label = boundary_label
-        steps = model.schedule[:b]
-        keep = {-1, b - 1}
-        last = {}  # slot -> its last reader in the prefix
-        for st in steps:
-            keep.update(_KERNELS[st.kind][2](st))
-            for r in st.refs:
-                last[r] = st.index
         self.x = np.empty(model.input_shape)
         self.acts = [None] * b + [self.x]
-        ops = []
-        for st in steps:
-            out = (np.empty(st.out_shape) if st.index in keep
-                   else scratch.take(st.out_shape))
-            ops += _bind(st, self.acts, out, scratch)
-            for r in {st.index, *st.refs} - keep:
-                if last.get(r, r) == st.index:
-                    scratch.give(self.acts[r])
+        fwd, bwd = [], []
+        keep = {-1, b - 1, *_kept(model.schedule[:b])}
+        _bind_prefix(model, b, self.acts, keep, scratch, fwd.extend)
         self.feat = self.acts[b - 1]
-        grads = [None] * (b + 1)
-        grads[b - 1] = self._cot = scratch.take(self.feat.shape)
-        self._forward = [(op[0], op[1:]) for op in ops]
-        self._backward = [(op[0], op[1:]) for st in reversed(steps)
-                          if grads[st.index] is not None
-                          for op in _bind_backward(st, self.acts, grads, scratch)]
-        self._grad = grads[-1]
+        self._cot = scratch.take(self.feat.shape)
+        self._grad = _bind_gradient(model, b, self.acts, self._cot, scratch,
+                                    bwd.extend)
+        self._fwd = [(op[0], op[1:]) for op in fwd]
+        self._bwd = [(op[0], op[1:]) for op in bwd]
 
     def run(self):
         require_tensor(self.x, name="model input")
-        for f, args in self._forward:
+        for f, args in self._fwd:
             f(*args)
         if not np.isfinite(self.feat).all():
             raise EngineError(f"{self._where}: non-finite activation at "
@@ -600,7 +631,7 @@ class _Arena:
     def gradient(self, cotangent):
         np.copyto(self._cot, require_tensor(cotangent, shape=self.feat.shape,
                                             name="cotangent"))
-        for f, args in self._backward:
+        for f, args in self._bwd:
             f(*args)
         if not np.isfinite(self._grad).all():
             raise EngineError(f"{self._where}: non-finite gradient")
@@ -620,50 +651,28 @@ def _arenas(model, boundary_label):
 # ---------------------------------------------------------------------------
 # passes
 
-def _run(model, x, upto, release=False):
-    """Execute layers [0, upto); returns the activations in slot layout.
-
-    With ``release`` (only ``forward`` sets it) each slot, the input's
-    included, is dropped after its last reader in the whole graph; slot
-    upto - 1 stays, and a prefix keeps the slots that later layers read."""
-    acts = [None] * upto + [x]
-    scratch = _Scratch()
-    for st in model.schedule[:upto]:
-        _call(_bind(st, acts, np.empty(st.out_shape), scratch))
-        if release:
-            out = acts[st.index]
-            for r in st.dead:
-                acts[r] = None
-    if release:
-        acts[upto - 1] = out
+def _run(model, x, upto, keep, what):
+    """Run layers [0, upto) on fresh arrays, each layer's ops applied as
+    soon as they are bound; returns the activations in slot layout, None in
+    each slot outside ``keep`` that has died (``_bind_prefix``)."""
+    acts = [None] * upto + [require_tensor(x, shape=model.input_shape,
+                                           name="model input")]
+    _bind_prefix(model, upto, acts, keep, _Scratch(), _call)
+    if not np.isfinite(acts[upto - 1]).all():
+        raise EngineError(f"model {model.name!r}: non-finite {what}")
     return acts
 
 
 def forward(model, x):
     """Run the whole graph; returns the final activation."""
-    x = require_tensor(x, shape=model.input_shape, name="model input")
     n = len(model.layers)
-    out = _run(model, x, n, release=True)[n - 1]
-    if not np.isfinite(out).all():
-        raise EngineError(f"model {model.name!r}: non-finite output")
-    return out
-
-
-def _prefix(model, x, boundary_label):
-    """Run the enclave-side prefix; returns (boundary index, activations)."""
-    x = require_tensor(x, shape=model.input_shape, name="model input")
-    b = model.boundary_of(boundary_label)
-    acts = _run(model, x, b)
-    if not np.isfinite(acts[b - 1]).all():
-        raise EngineError(f"model {model.name!r}: non-finite activation at "
-                          f"{boundary_label!r}")
-    return b, acts
+    return _run(model, x, n, (), "output")[n - 1]
 
 
 def forward_until(model, x, boundary_label):
     """Run the enclave-side prefix only; returns the exposed feature map."""
-    b, acts = _prefix(model, x, boundary_label)
-    return acts[b - 1]
+    b = model.boundary_of(boundary_label)
+    return _run(model, x, b, (), f"activation at {boundary_label!r}")[b - 1]
 
 
 def input_gradient(model, boundary_label, x, cotangent):
@@ -672,20 +681,11 @@ def input_gradient(model, boundary_label, x, cotangent):
     Reverse-mode over the executed prefix; parameters are treated as
     constants.
     """
-    b, acts = _prefix(model, x, boundary_label)
+    b = model.boundary_of(boundary_label)
+    acts = _run(model, x, b, _kept(model.schedule[:b]),
+                f"activation at {boundary_label!r}")
     cot = require_tensor(cotangent, shape=acts[b - 1].shape, name="cotangent")
-    return _backward(model, acts, b, cot)
-
-
-def _backward(model, acts, upto, cot):
-    grads = [None] * (upto + 1)  # slot layout: the input's gradient is last
-    grads[upto - 1] = cot
-    scratch = _Scratch()
-    for st in reversed(model.schedule[:upto]):
-        if grads[st.index] is not None:  # else only read beyond the boundary
-            _call(_bind_backward(st, acts, grads, scratch))
-    # never None: every source lies below its layer, so every chain ends here
-    gx = grads[-1]
+    gx = _bind_gradient(model, b, acts, cot, _Scratch(), _call)
     if not np.isfinite(gx).all():
         raise EngineError(f"model {model.name!r}: non-finite gradient")
     return gx

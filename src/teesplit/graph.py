@@ -238,7 +238,8 @@ def _check_params(name, kind, params):
     for key, required in spec.items():
         if required and key not in params:
             raise GraphError(f"layer {name!r}: missing {kind} parameter {key!r}")
-    for key in ("kernel", "stride"):
+    for key in ("kernel", "stride", "in_channels", "out_channels", "channels",
+                "in_features", "units"):
         if key in checked and checked[key] < 1:
             raise GraphError(f"layer {name!r}: {key} must be >= 1")
     for key in ("padding", "seed"):

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,8 @@ def test_malformed_model_json_exits_one(tmp_path, capsys):
                                        ("partition_points", 0, "label", {"a": 1}),
                                        ("layers", 0, "seed", -1),
                                        ("units", 0, "counts",
-                                        [["conv", "x"], ["conv", 1]])]:
+                                        [["conv", "x"], ["conv", 1]]),
+                                       ("layers", -1, "units", -1)]:
         doc = ts.model_to_json(ts.build_toy_cnn(points=3, input_shape=(1, 16, 16)))
         doc[section][index][key] = value
         bad.write_text(json.dumps(doc))
@@ -382,21 +384,8 @@ def test_missing_input_file_errors(tmp_path, capsys):
 def console_script_target():
     """The `module:callable` behind the `teesplit` command.
 
-    Read from `[project.scripts]` in the repo's pyproject.toml. Without
-    tomllib (Python 3.10), read from the installed distribution's
-    console_scripts entry points instead.
+    Read from `[project.scripts]` in the repo's pyproject.toml.
     """
-    try:
-        import tomllib
-    except ModuleNotFoundError:
-        from importlib import metadata
-        try:
-            metadata.distribution("teesplit")
-        except metadata.PackageNotFoundError:
-            pytest.importorskip("tomllib")
-        eps = metadata.entry_points(group="console_scripts", name="teesplit")
-        assert eps, "the teesplit distribution declares no teesplit script"
-        return next(iter(eps)).value
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         scripts = tomllib.load(fh)["project"].get("scripts", {})

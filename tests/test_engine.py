@@ -336,9 +336,9 @@ def test_forward_releases_dead_activations_bitwise():
         m = ts.build_architecture(name, input_shape=(3, 64, 64))
         x = np.random.default_rng(4).uniform(0, 1, m.input_shape)
         n = len(m.layers)
-        acts = engine._run(m, x, n, release=True)
+        acts = engine._run(m, x, n, (), "output")
         assert all(a is None for a in acts[:n - 1] + acts[n:]), name
-        kept = engine._run(m, x, n)
+        kept = engine._run(m, x, n, range(-1, n), "output")
         assert np.array_equal(acts[n - 1], kept[n - 1]), name
         assert np.array_equal(ts.forward(m, x), kept[n - 1]), name
 
@@ -355,33 +355,40 @@ def test_forward_releases_dead_activations_bitwise():
         m = graph((2, 3, 3), layers)
         x = np.random.default_rng(8).standard_normal(m.input_shape)
         n = len(m.layers)
-        kept = engine._run(m, x, n)
+        kept = engine._run(m, x, n, range(-1, n), "output")
         assert kept[-1] is x
         for upto in range(reader + 1, n + 1):
-            acts = engine._run(m, x, upto, release=True)
+            acts = engine._run(m, x, upto, (), "output")
             assert acts[-1] is None, (reader, upto)
             assert np.array_equal(acts[upto - 1], kept[upto - 1]), (reader, upto)
         assert np.array_equal(ts.forward(m, x), kept[n - 1]), reader
 
 
 def test_warm_forward_peak_memory_is_bounded():
-    # 8 conv/ReLU pairs at 16x128x128: keeping every activation and the
-    # whole column matrix peaks near 25 activation sizes, streaming near 11
+    # 8 conv/ReLU pairs at 16x128x128, cut before the last pair. Streaming
+    # the columns and dropping each activation after its last reader peaks
+    # near 7 activation sizes for forward and forward_until, and near 20
+    # for input_gradient, whose backward reads every ReLU output; keeping
+    # every activation peaks near 18 and 27 for the last two
     layers = []
     for i in range(8):
         layers += [spec(f"c{i}", ts.CONV, in_channels=16 if i else 3,
                         out_channels=16, kernel=3, stride=1, padding=1, seed=i),
                    spec(f"r{i}", ts.RELU)]
-    m = graph((3, 128, 128), layers)
+    m = graph((3, 128, 128), layers, [("P", 14)])
     x = np.random.default_rng(6).uniform(0, 1, m.input_shape)
-    ts.forward(m, x)  # materialize the weights
-    tracemalloc.start()
-    try:
-        ts.forward(m, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 14 * 16 * 128 * 128 * 8, peak
+    cot = np.random.default_rng(7).standard_normal((16, 128, 128))
+    for run, bound in [(lambda: ts.forward(m, x), 14),
+                       (lambda: ts.forward_until(m, x, "P"), 10),
+                       (lambda: ts.input_gradient(m, "P", x, cot), 23)]:
+        run()  # materialize the weights
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 16 * 128 * 128 * 8, (bound, peak)
 
 
 def test_maxpool_tie_routes_to_first_index():
@@ -459,7 +466,13 @@ def test_warm_run_and_backward_rederive_nothing(monkeypatch, name, shape):
     x = np.random.default_rng(2).uniform(0, 1, shape)
     n = len(m.layers)
     cot = np.random.default_rng(3).standard_normal(m.output_shape)
-    want = engine._backward(m, engine._run(m, x, n), n, cot)  # warm
+
+    def gradient():
+        acts = engine._run(m, x, n, engine._kept(m.schedule), "output")
+        return engine._bind_gradient(m, n, acts, cot, engine._Scratch(),
+                                     engine._call)
+
+    want = gradient()  # warm
     calls = []
 
     def counted(fn):
@@ -474,7 +487,7 @@ def test_warm_run_and_backward_rederive_nothing(monkeypatch, name, shape):
         for fn in ("source_of", "_refs", "weight_shapes"):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted(getattr(module, fn)))
-    got = engine._backward(m, engine._run(m, x, n), n, cot)
+    got = gradient()
     assert calls == []
     assert np.array_equal(got, want)
 
@@ -498,9 +511,12 @@ def test_input_gradient_aliases_no_cotangent_or_activation():
     for layers, b in cases:
         m = graph((2, 3, 3), layers, [("B", b)])
         x = rng.standard_normal(m.input_shape)
-        acts = engine._run(m, x, b)
+        # input_gradient's backward, over every activation of the prefix
+        acts = engine._run(m, x, b, range(-1, b), "output")
         cot = rng.standard_normal(acts[b - 1].shape)
-        gx = engine._backward(m, acts, b, cot)
+        gx = engine._bind_gradient(m, b, acts, cot, engine._Scratch(),
+                                   engine._call)
+        assert gx.tobytes() == ts.input_gradient(m, "B", x, cot).tobytes(), b
         assert gx.shape == m.input_shape
         assert not np.shares_memory(gx, cot), b
         for act in acts:
@@ -515,7 +531,8 @@ def test_input_gradient_aliases_no_cotangent_or_activation():
         got = one.gradient(cot)
         assert got.tobytes() == gx.tobytes(), b
         for act in one.acts + other.acts + [cot]:
-            assert not np.shares_memory(got, act), b
+            # a transient slot is None once its last reader is bound
+            assert act is None or not np.shares_memory(got, act), b
         kept = got.tobytes()
         np.copyto(other.x, rng.standard_normal(m.input_shape))
         other.run()
