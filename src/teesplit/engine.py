@@ -51,10 +51,23 @@ halves of a split share the original layers' weights.
 
 Every pass walks the graph's ``schedule``, computed once per ``ModelGraph``
 and kept on it: per layer, the slots it reads, the slots that die after it,
-its weight key, and its geometry (kernel, stride, padding, input and output
-shapes, and a conv's rows per column block). The schedule holds no weights
-and nothing activation-sized, so compiling costs O(layers) in scalars, and
-clearing ``_WEIGHTS`` takes effect on a graph already compiled.
+its weight key, its geometry (kernel, stride, padding, input and output
+shapes, and a conv's rows per column block) and how its output is stored.
+The schedule holds no weights and nothing activation-sized, so compiling
+costs O(layers) in scalars, and clearing ``_WEIGHTS`` takes effect on a
+graph already compiled.
+
+Activations are stored where their readers can window them in place. By
+the schedule's storage rule (``graph.Step``, its only owner), a slot whose
+readers are all windowed layers padding it alike (p > 0, the same fill:
+0.0, or -inf for max pooling), made by a kind that writes through
+``out=``, is the interior view of a fresh (C, H + 2p, W + 2p) array whose
+border is filled once, when ``_bind`` makes it. Its readers' windows view
+that array, with no per-call fill or copy, so the forward's peak holds no
+padded copy beside the activation. The graph input and a pass's last slot
+(b - 1) are never bordered, so every public pass returns a contiguous
+array and a split's halves need nothing new; any other padded read copies
+its input into scratch. Bordered arrays never enter ``_Scratch``'s pool.
 
 Each kind's kernel is split in two (``_KERNELS``). Its bind step runs once
 over fixed arrays: given the layer's output array (or, in the backward, the
@@ -80,12 +93,13 @@ each activation its backward reads; the attack in ``privacy`` binds two
 per inversion (the accepted point and the candidate) and drops them when
 the inversion returns. Both take their other arrays from one ``_Scratch``
 of that inversion: scratch, the memory that lives only inside one call
-(padded inputs, column blocks, ``gcols``, the col2im planes, elementwise
-temporaries), is one buffer as large as the largest kernel's requests, and
-every kernel of both arenas views it; activations no backward reads, and
-gradients, are arrays handed back and reused once their last reader has
-run. So scratch is never kept per layer, and no buffer is module-level: the
-``_Scratch`` of the public passes hands out fresh arrays.
+(padded copies of unbordered inputs, column blocks, ``gcols``, the col2im
+planes, elementwise temporaries), is one buffer as large as the largest
+kernel's requests, and every kernel of both arenas views it; activations
+no backward reads, and gradients, are arrays handed back and reused once
+their last reader has run. So scratch is never kept per layer, and no
+buffer is module-level: the ``_Scratch`` of the public passes hands out
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -173,7 +187,9 @@ class _Scratch:
     nothing, and ``need`` records the bytes of the largest kernel's requests.
     Built from such a record, the requests of one kernel (those after one
     ``start``) are consecutive views of one buffer, and an array given back
-    is handed out again by a later ``take`` of its shape."""
+    is handed out again by a later ``take`` of its shape, unless it is a
+    view. A bordered slot's interior is one: ``take`` hands out contiguous
+    arrays only, since a conv writes its output through a reshape."""
 
     def __init__(self, need=None):
         self.need = 0 if need is None else need
@@ -200,7 +216,7 @@ class _Scratch:
         return free.pop() if free else np.empty(shape)
 
     def give(self, arr):
-        if self._buffer is not None:
+        if self._buffer is not None and arr.base is None:
             self._free.setdefault(arr.shape, []).append(arr)
 
 
@@ -210,32 +226,56 @@ def _call(ops):
         f(*args)
 
 
-def _bind_windows(x, k, stride, pad, fill, scratch):
+def _border(xp, pad):
+    """The border of ``xp`` (C, H + 2 pad, W + 2 pad) as two views: the
+    first and last ``pad`` rows, then the first and last ``pad`` columns of
+    every row."""
+    c, hp, wp = xp.shape
+    sc, sh, sw = xp.strides
+    return (np.ndarray((c, 2, pad, wp), xp.dtype, xp, 0,
+                       (sc, (hp - pad) * sh, sh, sw)),
+            np.ndarray((c, hp, 2, pad), xp.dtype, xp, 0,
+                       (sc, sh, (wp - pad) * sw, sw)))
+
+
+def _bordered(shape, pad, fill):
+    """The (C, H, W) interior view of a fresh (C, H + 2 pad, W + 2 pad)
+    array whose border is set to ``fill``."""
+    c, h, w = shape
+    xp = np.empty((c, h + 2 * pad, w + 2 * pad))
+    for side in _border(xp, pad):
+        side.fill(fill)
+    return xp[:, pad:pad + h, pad:pad + w]
+
+
+def _bind_windows(x, k, stride, pad, fill, scratch, bordered=False):
     """Read-only (C, OH, OW, k, k) view of the k x k windows of ``x`` padded
     by ``pad`` on each spatial side with ``fill``, taken at ``stride``, and
-    the ops that refresh the padded copy from ``x`` (none at ``pad == 0``,
-    where the view is of ``x`` itself)."""
+    the ops that refresh the padded copy from ``x``. There are none at
+    ``pad == 0``, where the view is of ``x`` itself, nor when ``bordered``:
+    ``x`` is then ``_bordered(x.shape, pad, fill)``, and the view is of the
+    array it is the interior of."""
     c, h, w = x.shape
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
     xp, ops = x, []
-    if pad:
-        hp, wp = h + 2 * pad, w + 2 * pad
-        xp = scratch((c, hp, wp))
-        sc, sh, sw = xp.strides
-        # the border: the first and last ``pad`` rows, then the first and
-        # last ``pad`` columns of every row
-        rows = np.ndarray((c, 2, pad, wp), xp.dtype, xp, 0,
-                          (sc, (hp - pad) * sh, sh, sw))
-        cols = np.ndarray((c, hp, 2, pad), xp.dtype, xp, 0,
-                          (sc, sh, (wp - pad) * sw, sw))
-        ops = [(rows.fill, fill), (cols.fill, fill),
-               (np.copyto, xp[:, pad:pad + h, pad:pad + w], x)]
+    if bordered:
+        xp = x.base
+    elif pad:
+        xp = scratch((c, h + 2 * pad, w + 2 * pad))
+        ops = [(side.fill, fill) for side in _border(xp, pad)]
+        ops.append((np.copyto, xp[:, pad:pad + h, pad:pad + w], x))
     sc, sh, sw = xp.strides
     win = np.ndarray((c, oh, ow, k, k), xp.dtype, xp, 0,
                      (sc, sh * stride, sw * stride, sh, sw))
     win.flags.writeable = False
     return win, ops
+
+
+def _source_windows(st, acts, scratch):
+    """``_bind_windows`` over the source of windowed layer ``st``."""
+    return _bind_windows(acts[st.source], st.kernel, st.stride, st.padding,
+                         st.fill, scratch, st.bordered)
 
 
 def _windows(x, k, stride, pad, fill=0.0):
@@ -285,8 +325,7 @@ def _bind_col2im(gwin, dst, s, pad, scratch):
 
 def _conv(st, acts, out, w, scratch):
     o, oh, ow = st.out_shape
-    win, ops = _bind_windows(acts[st.source], st.kernel, st.stride,
-                             st.padding, 0.0, scratch)
+    win, ops = _source_windows(st, acts, scratch)
     wmat = w["w"].reshape(o, -1)
     out2 = out.reshape(o, oh * ow)
     buf = None
@@ -319,8 +358,7 @@ def _conv_grad(st, g, acts, w, dsts, scratch):
 
 def _dwconv(st, acts, out, w, scratch):
     k = st.kernel
-    win, ops = _bind_windows(acts[st.source], k, st.stride, st.padding, 0.0,
-                             scratch)
+    win, ops = _source_windows(st, acts, scratch)
     prod = scratch(st.out_shape)
     ops.append((out.fill, 0.0))
     # one (C, OH, OW) slab per kernel offset, in _bind_col2im's order
@@ -345,12 +383,15 @@ def _dwconv_grad(st, g, acts, w, dsts, scratch):
 
 def _maxpool(st, acts, out, w, scratch):
     k = st.kernel
-    win, ops = _bind_windows(acts[st.source], k, st.stride, st.padding,
-                             -np.inf, scratch)
-    ops.append((np.copyto, out, win[:, :, :, 0, 0]))
+    win, ops = _source_windows(st, acts, scratch)
     # on a tie np.maximum returns its second operand: the earlier offset
+    if k == 1:
+        ops.append((np.copyto, out, win[:, :, :, 0, 0]))
+    else:
+        ops.append((partial(np.maximum, win[:, :, :, 0, 1],
+                            win[:, :, :, 0, 0], out=out),))
     ops += [(partial(np.maximum, win[:, :, :, i, j], out, out=out),)
-            for i in range(k) for j in range(k) if i or j]
+            for i in range(k) for j in range(k) if i * k + j > 1]
     return out, ops
 
 
@@ -361,7 +402,7 @@ def _maxpool_grad(st, g, acts, w, dsts, scratch):
     c, oh, ow = st.out_shape
     _, h, wd = st.in_shape
     hp, wp = h + 2 * pad, wd + 2 * pad
-    win, ops = _bind_windows(acts[st.source], k, s, pad, -np.inf, scratch)
+    win, ops = _source_windows(st, acts, scratch)
     flat = scratch((c, oh, ow, k * k))
     idx = scratch(st.out_shape, np.intp)
     route = scratch(st.out_shape, np.intp)
@@ -384,8 +425,7 @@ def _maxpool_grad(st, g, acts, w, dsts, scratch):
 
 
 def _avgpool(st, acts, out, w, scratch):
-    win, ops = _bind_windows(acts[st.source], st.kernel, st.stride,
-                             st.padding, 0.0, scratch)
+    win, ops = _source_windows(st, acts, scratch)
     return out, ops + [(partial(np.mean, win, axis=(-2, -1), out=out),)]
 
 
@@ -514,13 +554,19 @@ _KERNELS = {
 }
 
 
-def _bind(st, acts, keep, scratch):
+def _bind(st, acts, keep, scratch, upto):
     """Bind layer ``st``'s forward over ``acts`` and return the ops that fill
-    its output: slot ``st.index``, a fresh array if the slot is in ``keep``
-    and one from ``scratch.take`` otherwise."""
+    its output: slot ``st.index``, the interior of a fresh bordered array if
+    the schedule stores the slot so and it is not the pass's last, slot
+    upto - 1; otherwise a fresh array if the slot is in ``keep`` and one
+    from ``scratch.take`` if not."""
     scratch.start()
-    out = (np.empty(st.out_shape) if st.index in keep
-           else scratch.take(st.out_shape))
+    if st.border and st.index != upto - 1:
+        out = _bordered(st.out_shape, *st.border)
+    elif st.index in keep:
+        out = np.empty(st.out_shape)
+    else:
+        out = scratch.take(st.out_shape)
     w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
     acts[st.index], ops = _KERNELS[st.kind][0](st, acts, out, w, scratch)
     return ops
@@ -535,7 +581,7 @@ def _bind_prefix(model, upto, acts, keep, scratch, apply):
     partition point, which only a reference to slot upto - 1 crosses, that
     slot never dies and every other slot dies inside the prefix."""
     for st in model.schedule[:upto]:
-        apply(_bind(st, acts, keep, scratch))
+        apply(_bind(st, acts, keep, scratch, upto))
         for r in st.dead:
             if r not in keep:
                 scratch.give(acts[r])

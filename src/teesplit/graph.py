@@ -46,6 +46,12 @@ FLATTEN = "Flatten"
 
 KINDS = (CONV, DWCONV, FC, RELU, SWISH, SIGMOID, BNORM, MAXPOOL, AVGPOOL,
          GAP, ADD, CMUL, FLATTEN)
+# kinds that read their source through k x k windows
+_WINDOWED = (CONV, DWCONV, MAXPOOL, AVGPOOL)
+# kinds whose engine kernel writes its whole output through ``out=``, so the
+# output can be a view into a larger array
+_WRITES_OUT = (RELU, BNORM, SWISH, SIGMOID, ADD, CMUL, MAXPOOL, AVGPOOL,
+               DWCONV)
 
 # hyperparameters accepted per kind (name -> required flag)
 _PARAM_SPEC = {
@@ -119,7 +125,19 @@ class Step(NamedTuple):
     the slots whose last reader in the whole graph is this layer (a slot no
     layer reads is its own maker's; the graph's result is nobody's).
     ``kernel``, ``stride`` and ``padding`` are 0 for unwindowed kinds, and
-    ``rows`` is a conv's output rows per im2col block (0 for other kinds)."""
+    ``rows`` is a conv's output rows per im2col block (0 for other kinds).
+    ``fill`` is the value a windowed layer's padding reads: -inf for
+    MaxPool, 0.0 otherwise.
+
+    The storage rule, owned here: a layer's output slot is stored as the
+    interior of a (C, H + 2p, W + 2p) array whose border holds ``fill``
+    when every reader of the slot is a windowed layer with the same padding
+    p > 0 and the same ``fill``, and the layer's kind writes its output
+    through ``out=`` (every kind but Conv2d, FullyConnected, Flatten and
+    GlobalAvgPool). ``border`` is then (p, fill), and () otherwise; the
+    graph input is never bordered. ``bordered`` says whether the source
+    slot is. A pass that ends at slot b - 1 stores that slot unbordered,
+    since its readers lie beyond the pass."""
     index: int
     layer: LayerSpec
     kind: str
@@ -133,6 +151,9 @@ class Step(NamedTuple):
     in_shape: tuple
     out_shape: tuple
     rows: int
+    fill: float
+    border: tuple
+    bordered: bool
 
 
 @dataclass(frozen=True)
@@ -150,15 +171,30 @@ class ModelGraph:
         n = len(self.layers)
         refs = [tuple(r for _, r in _refs(layer, i))
                 for i, layer in enumerate(self.layers)]
-        # last[r]: the last layer to read slot r (the input's is last[-1])
+        fill = [-math.inf if layer.kind == MAXPOOL else 0.0
+                for layer in self.layers]
+        # last[r]: the last layer to read slot r, and frames[r]: the
+        # (padding, fill) of each reader of slot r, None for an unwindowed
+        # one (the input's are last[-1] and frames[-1])
         last = list(range(n)) + [n]
+        frames = [set() for _ in range(n + 1)]
         for i, rs in enumerate(refs):
+            layer = self.layers[i]
+            frame = ((layer.params.get("padding", 0), fill[i])
+                     if layer.kind in _WINDOWED else None)
             for r in rs:
                 last[r] = i
+                frames[r].add(frame)
         last[n - 1] = n
         dead = [[] for _ in range(n + 1)]
         for r in range(-1, n):
             dead[last[r]].append(r)
+        border = [()] * n
+        for r, layer in enumerate(self.layers):
+            if layer.kind in _WRITES_OUT and len(frames[r]) == 1:
+                frame, = frames[r]
+                if frame is not None and frame[0] > 0:
+                    border[r] = frame
         steps = []
         for i, layer in enumerate(self.layers):
             p = layer.params
@@ -172,7 +208,8 @@ class ModelGraph:
             steps.append(Step(i, layer, layer.kind, refs[i], src, tuple(dead[i]),
                               weight_key(layer), k, p.get("stride", 0),
                               p.get("padding", 0), in_shape, layer.output_shape,
-                              rows))
+                              rows, fill[i], border[i],
+                              src >= 0 and bool(border[src])))
         return tuple(steps)
 
     def boundary_of(self, label):

@@ -72,10 +72,16 @@ class PrivacyReport:
         return [lab for lab, _, _ in self.per_point]
 
 
+def _require_positive(name, value):
+    if not (0 < value < np.inf):
+        raise PrivacyError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def gaussian_window(size, sigma):
     """Normalized 2-D Gaussian weights."""
     if size % 2 != 1 or size < 3:
         raise PrivacyError(f"window size must be odd and >= 3, got {size}")
+    _require_positive("sigma", sigma)
     r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(r ** 2) / (2.0 * sigma ** 2))
     w = np.outer(g, g)
@@ -94,6 +100,8 @@ def ssim(a, b, params=SsimParams()):
     b = require_tensor(b, shape=a.shape, name="second image")
     if a.ndim != 3:
         raise PrivacyError("images must be C x H x W")
+    for name in ("sigma", "k1", "k2", "dynamic_range"):
+        _require_positive(name, getattr(params, name))
     span = params.dynamic_range
     eps = 1e-12
     if a.min() < -eps or a.max() > span + eps or b.min() < -eps or b.max() > span + eps:

@@ -366,10 +366,12 @@ def test_forward_releases_dead_activations_bitwise():
 
 def test_warm_forward_peak_memory_is_bounded():
     # 8 conv/ReLU pairs at 16x128x128, cut before the last pair. Streaming
-    # the columns and dropping each activation after its last reader peaks
-    # near 7 activation sizes for forward and forward_until, and near 20
-    # for input_gradient, whose backward reads every ReLU output; keeping
-    # every activation peaks near 18 and 27 for the last two
+    # the columns, dropping each activation after its last reader and
+    # storing each ReLU output inside the border its conv reads peaks near
+    # 6.0 activation sizes for forward and forward_until (7.0 with a padded
+    # copy per conv call), and near 19 for input_gradient, whose backward
+    # reads every ReLU output; keeping every activation peaks near 18 and
+    # 27 for the last two
     layers = []
     for i in range(8):
         layers += [spec(f"c{i}", ts.CONV, in_channels=16 if i else 3,
@@ -378,8 +380,8 @@ def test_warm_forward_peak_memory_is_bounded():
     m = graph((3, 128, 128), layers, [("P", 14)])
     x = np.random.default_rng(6).uniform(0, 1, m.input_shape)
     cot = np.random.default_rng(7).standard_normal((16, 128, 128))
-    for run, bound in [(lambda: ts.forward(m, x), 14),
-                       (lambda: ts.forward_until(m, x, "P"), 10),
+    for run, bound in [(lambda: ts.forward(m, x), 6.5),
+                       (lambda: ts.forward_until(m, x, "P"), 6.5),
                        (lambda: ts.input_gradient(m, "P", x, cot), 23)]:
         run()  # materialize the weights
         tracemalloc.start()
@@ -578,6 +580,83 @@ def test_split_halves_share_weights_bitwise(toy4):
             continue
         for k in wo:
             assert wo[k] is wp[k]
+
+
+def _bordered_chains():
+    """Chains whose padded windowed layer reads a slot the schedule stores
+    bordered, each with its inputs' range: padded pools behind producers
+    with negative outputs, where a 0.0 border would win a MaxPool window,
+    and padded convs behind elementwise producers."""
+    pool = dict(kernel=3, stride=1, padding=1)
+    conv = dict(in_channels=2, out_channels=2, kernel=3, stride=1, padding=1)
+    neg, pos = (-2.0, -1.0), (0.05, 0.95)
+    return [
+        ([spec("bn", ts.BNORM, channels=2, seed=1),
+          spec("p", ts.MAXPOOL, **pool)], neg),
+        ([spec("sw", ts.SWISH), spec("p", ts.MAXPOOL, kernel=2, stride=2,
+                                     padding=1)], neg),
+        # a MaxPool's output bordered for the next MaxPool
+        ([spec("bn", ts.BNORM, channels=2, seed=2),
+          spec("p1", ts.MAXPOOL, **pool), spec("p2", ts.MAXPOOL, kernel=3,
+                                               stride=2, padding=1)], neg),
+        ([spec("bn", ts.BNORM, channels=2, seed=3),
+          spec("p", ts.AVGPOOL, **pool)], neg),
+        ([spec("sw", ts.SWISH), spec("d", ts.DWCONV, channels=2, kernel=5,
+                                     stride=2, padding=2, seed=4)], neg),
+        ([spec("sg", ts.SIGMOID), spec("c", ts.CONV, seed=5, **conv)], pos),
+        ([spec("r", ts.RELU), spec("c", ts.CONV, seed=8, **conv)], (-1.0, 1.0)),
+        ([spec("d", ts.DWCONV, channels=2, kernel=3, stride=1, padding=1,
+               seed=6), spec("c", ts.CONV, seed=7, **conv)], neg),
+    ]
+
+
+def test_bordered_slots_match_split_halves_bitwise():
+    # the whole graph reads each bordered slot in place; splitting just
+    # before its reader makes the slot the tail's input, which is never
+    # bordered, so the tail pads a copy of it. Both must agree bitwise,
+    # forward and backward, and every public pass returns a C-contiguous
+    # array
+    rng = np.random.default_rng(14)
+    cases = []
+    for layers, (lo, hi) in _bordered_chains():
+        m = graph((2, 7, 7), layers + [spec("z", ts.SIGMOID)])
+        cases.append((m, len(layers) - 1, lo, hi))
+    for _ in range(40):
+        m = build_random_model(rng)
+        cases += [(m, st.index, 0.05, 0.95) for st in m.schedule
+                  if st.bordered]
+    producers, readers = set(), set()
+    for m, s, lo, hi in cases:
+        assert m.schedule[s].bordered and m.schedule[s].padding > 0
+        producers.add(m.layers[s - 1].kind)
+        readers.add(m.layers[s].kind)
+        n = len(m.layers)
+        m = ts.make_graph(m.name, m.input_shape, m.layers,
+                          [("S", s), ("Z", n - 1)])
+        head, tail = ts.split(m, "S")
+        assert not tail.schedule[0].bordered
+        x = rng.uniform(lo, hi, m.input_shape)
+        whole = ts.forward(m, x)
+        feat = ts.forward_until(m, x, "S")
+        z = ts.forward_until(m, x, "Z")
+        ct = rng.standard_normal(z.shape)
+        g = ts.input_gradient(m, "Z", x, ct)
+        g_tail = ts.input_gradient(tail, "Z", feat, ct)
+        g_chain = ts.input_gradient(m, "S", x, g_tail)
+        assert ts.forward(head, x).tobytes() == feat.tobytes()
+        assert ts.forward(tail, feat).tobytes() == whole.tobytes(), m.layers
+        assert ts.forward_until(tail, feat, "Z").tobytes() == z.tobytes()
+        assert g_chain.tobytes() == g.tobytes(), m.layers
+        for out in (whole, feat, z, g, g_tail, g_chain):
+            assert out.flags.c_contiguous
+        arena, _ = engine._arenas(m, "Z")
+        np.copyto(arena.x, x)
+        arena.run()
+        assert arena.feat.tobytes() == z.tobytes()
+        assert arena.gradient(ct).tobytes() == g.tobytes()
+    assert producers == {ts.RELU, ts.SWISH, ts.SIGMOID, ts.BNORM, ts.ADD,
+                         ts.CMUL, ts.MAXPOOL, ts.AVGPOOL, ts.DWCONV}, producers
+    assert readers == {ts.CONV, ts.DWCONV, ts.MAXPOOL, ts.AVGPOOL}, readers
 
 
 def test_engine_input_validation(toy4):

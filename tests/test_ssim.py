@@ -125,3 +125,14 @@ def test_out_of_range_images_rejected():
     hot = np.full((1, 16, 16), 1.5)
     with pytest.raises(ts.PrivacyError):
         ts.ssim(a, hot)
+
+
+@pytest.mark.parametrize("field", ["sigma", "k1", "k2", "dynamic_range"])
+@pytest.mark.parametrize("value", [0.0, -1.5, np.nan, np.inf, -np.inf])
+def test_nonpositive_or_nonfinite_params_rejected(field, value):
+    a = np.full((1, 16, 16), 0.5)
+    with pytest.raises(ts.PrivacyError, match=field):
+        ts.ssim(a, a, ts.SsimParams(**{field: value}))
+    if field == "sigma":
+        with pytest.raises(ts.PrivacyError, match="sigma"):
+            ts.gaussian_window(11, value)

@@ -23,16 +23,19 @@ Groups:
   last boundaries only and once with a middle boundary measured too.
 
 Only the public API is used, and every input is drawn from a fixed seed.
-It takes about 10 s and peaks near 1.2 GB of memory (VGG-16's weights at
-224, dropped before the next network is built) on a 2-vCPU x86-64 host
-with one BLAS thread; the ``graph`` and ``profiles`` groups take about
-0.3 s of that.
+It takes about 15 s and peaks near 1.1 GB of memory (1112-1116 MB; VGG-16's
+weights at 224, dropped before the next network is built) on a 2-vCPU
+x86-64 host with one BLAS thread; the ``graph`` and ``profiles`` groups
+take about 0.3 s of that. The process's peak RSS (``ru_maxrss``) is printed
+on stderr, after the digests on stdout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import resource
+import sys
 
 import numpy as np
 
@@ -132,6 +135,9 @@ def main():
     groups["profiles"] = _profiles_group()
     for name, digest in groups.items():
         print(f"{name} {digest.hexdigest()}")
+    # on stderr, so the digest lines on stdout stay comparable
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak_mb:.1f} MB (ru_maxrss)", file=sys.stderr)
 
 
 if __name__ == "__main__":
