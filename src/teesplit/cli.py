@@ -33,7 +33,7 @@ from .pipeline import LedgerViolationError, simulate_pipeline
 from .planner import PlanError, PlanRequest, plan, plan_table_csv
 from .privacy import (DEFAULT_SLACK, DEFAULT_THRESHOLD, AttackConfig,
                       InversionDivergenceError, PrivacyError, PrivacyReport,
-                      SsimParams, _check_rule, evaluate_privacy, report_to_csv,
+                      _check_rule, evaluate_privacy, report_to_csv,
                       score_boundary, scores_from_csv)
 from .tensors import (TensorError, csv_text, load_image, load_tensor,
                       read_text, save_tensor, write_text_atomic)
@@ -183,7 +183,7 @@ def _cmd_attack(args):
     images = _load_images(args.images)
     model.boundary_of(args.boundary)
     sims = score_boundary(model, model.labels().index(args.boundary), images,
-                          _attack_cfg(args), SsimParams())
+                          _attack_cfg(args))
     mean = float(np.mean(sims))
     report = PrivacyReport(model_name=model.name,
                            per_point=((args.boundary, mean, sims),),
@@ -198,7 +198,7 @@ def _cmd_attack(args):
 def _cmd_evaluate(args):
     model = _model_from_args(args)
     images = _load_images(args.images)
-    report = evaluate_privacy(model, images, _attack_cfg(args), SsimParams(),
+    report = evaluate_privacy(model, images, _attack_cfg(args),
                               threshold=args.threshold, slack=args.slack)
     _emit(args.out, report_to_csv(report))
     if args.svg:

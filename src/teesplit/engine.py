@@ -57,17 +57,18 @@ The schedule holds no weights and nothing activation-sized, so compiling
 costs O(layers) in scalars, and clearing ``_WEIGHTS`` takes effect on a
 graph already compiled.
 
-Activations are stored where their readers can window them in place. By
-the schedule's storage rule (``graph.Step``, its only owner), a slot whose
-readers are all windowed layers padding it alike (p > 0, the same fill:
-0.0, or -inf for max pooling), made by a kind that writes through
-``out=``, is the interior view of a fresh (C, H + 2p, W + 2p) array whose
-border is filled once, when ``_bind`` makes it. Its readers' windows view
-that array, with no per-call fill or copy, so the forward's peak holds no
-padded copy beside the activation. The graph input and a pass's last slot
-(b - 1) are never bordered, so every public pass returns a contiguous
-array and a split's halves need nothing new; any other padded read copies
-its input into scratch. Bordered arrays never enter ``_Scratch``'s pool.
+A padded window always reads an array whose border was filled once, when
+the array was made (``_bordered``). By the schedule's storage rule
+(``graph.Step``, its only owner), a slot whose readers are all windowed
+layers padding it alike (p > 0, the same fill: 0.0, or -inf for max
+pooling), made by a kind that writes through ``out=``, is the interior
+view of a (C, H + 2p, W + 2p) array, and its readers window that array
+with no op of their own, so the forward's peak holds no padded copy beside
+the activation. The graph input and a pass's last slot (b - 1) are stored
+unbordered, so every public pass returns a contiguous array and a split's
+halves need nothing new; a padded read of any unbordered slot copies it
+into the interior of a bordered scratch array, one op per call.
+Gradients are never bordered.
 
 Each kind's kernel is split in two (``_KERNELS``). Its bind step runs once
 over fixed arrays: given the layer's output array (or, in the backward, the
@@ -89,17 +90,18 @@ lets no reference but the one to slot b - 1 cross a partition point.
 
 An ``_Arena`` binds a whole prefix, forward and backward, and keeps the
 ops. It owns the input, the boundary activation, the input gradient and
-each activation its backward reads; the attack in ``privacy`` binds two
-per inversion (the accepted point and the candidate) and drops them when
-the inversion returns. Both take their other arrays from one ``_Scratch``
-of that inversion: scratch, the memory that lives only inside one call
-(padded copies of unbordered inputs, column blocks, ``gcols``, the col2im
-planes, elementwise temporaries), is one buffer as large as the largest
-kernel's requests, and every kernel of both arenas views it; activations
-no backward reads, and gradients, are arrays handed back and reused once
-their last reader has run. So scratch is never kept per layer, and no
-buffer is module-level: the ``_Scratch`` of the public passes hands out
-fresh arrays.
+each activation its backward reads, each a fresh array; the attack in
+``privacy`` binds two per inversion (the accepted point and the candidate)
+and drops them when the inversion returns. Both take their other arrays
+from one ``_Scratch`` of that inversion. Kernel scratch, the memory that
+lives only inside one call (column blocks, ``gcols``, the col2im planes,
+elementwise temporaries), is one buffer as large as the largest kernel's
+requests, and every kernel of both arenas views it. Every other array,
+an activation no backward reads, a gradient or a padded copy, comes from
+one pool keyed by (shape, border) and is handed back once its last reader
+has run, so a bordered array is reused with its border as it was filled.
+Scratch is never kept per layer, and no buffer is module-level: the
+``_Scratch`` of the public passes hands out fresh arrays.
 """
 
 from __future__ import annotations
@@ -187,15 +189,18 @@ class _Scratch:
     nothing, and ``need`` records the bytes of the largest kernel's requests.
     Built from such a record, the requests of one kernel (those after one
     ``start``) are consecutive views of one buffer, and an array given back
-    is handed out again by a later ``take`` of its shape, unless it is a
-    view. A bordered slot's interior is one: ``take`` hands out contiguous
-    arrays only, since a conv writes its output through a reshape."""
+    is handed out again by a later ``take`` of its shape and border. The
+    one pool is keyed by how an array is stored, (shape, border), and a
+    miss makes ``_bordered(shape, border)``, so a border is filled once,
+    when its array is made, and no op ever writes it again. ``give`` does
+    not check for views: the one view a kind makes of another slot,
+    Flatten's output, is kept by every arena, so it is never given back."""
 
     def __init__(self, need=None):
         self.need = 0 if need is None else need
         self._buffer = None if need is None else np.empty(need, np.uint8)
         self._end = 0
-        self._free = {}  # shape -> arrays no bound layer reads any more
+        self._free = {}  # (shape, border) -> arrays no bound layer reads any more
 
     def start(self):
         self._end = 0
@@ -211,13 +216,13 @@ class _Scratch:
         self._end += -(-n // 64) * 64  # each view starts on a cache line
         return self._buffer[begin:begin + n].view(dtype).reshape(shape)
 
-    def take(self, shape):
-        free = self._free.get(shape)
-        return free.pop() if free else np.empty(shape)
+    def take(self, shape, border=()):
+        free = self._free.get((shape, border))
+        return free.pop() if free else _bordered(shape, border)
 
-    def give(self, arr):
-        if self._buffer is not None and arr.base is None:
-            self._free.setdefault(arr.shape, []).append(arr)
+    def give(self, arr, border=()):
+        if self._buffer is not None:
+            self._free.setdefault((arr.shape, border), []).append(arr)
 
 
 def _call(ops):
@@ -226,45 +231,39 @@ def _call(ops):
         f(*args)
 
 
-def _border(xp, pad):
-    """The border of ``xp`` (C, H + 2 pad, W + 2 pad) as two views: the
-    first and last ``pad`` rows, then the first and last ``pad`` columns of
-    every row."""
-    c, hp, wp = xp.shape
-    sc, sh, sw = xp.strides
-    return (np.ndarray((c, 2, pad, wp), xp.dtype, xp, 0,
-                       (sc, (hp - pad) * sh, sh, sw)),
-            np.ndarray((c, hp, 2, pad), xp.dtype, xp, 0,
-                       (sc, sh, (wp - pad) * sw, sw)))
-
-
-def _bordered(shape, pad, fill):
-    """The (C, H, W) interior view of a fresh (C, H + 2 pad, W + 2 pad)
-    array whose border is set to ``fill``."""
-    c, h, w = shape
+def _bordered(shape, border):
+    """A fresh array of ``shape`` (C, H, W), or, for ``border`` (pad, fill),
+    the interior view of a fresh (C, H + 2 pad, W + 2 pad) array whose
+    border is set to ``fill``."""
+    if not border:
+        return np.empty(shape)
+    (c, h, w), (pad, fill) = shape, border
     xp = np.empty((c, h + 2 * pad, w + 2 * pad))
-    for side in _border(xp, pad):
-        side.fill(fill)
-    return xp[:, pad:pad + h, pad:pad + w]
+    xp[:, :pad] = xp[:, -pad:] = fill
+    xp[:, :, :pad] = xp[:, :, -pad:] = fill
+    return xp[:, pad:-pad, pad:-pad]
 
 
 def _bind_windows(x, k, stride, pad, fill, scratch, bordered=False):
     """Read-only (C, OH, OW, k, k) view of the k x k windows of ``x`` padded
     by ``pad`` on each spatial side with ``fill``, taken at ``stride``, and
-    the ops that refresh the padded copy from ``x``. There are none at
+    the ops that refresh the padded array from ``x``. There are none at
     ``pad == 0``, where the view is of ``x`` itself, nor when ``bordered``:
-    ``x`` is then ``_bordered(x.shape, pad, fill)``, and the view is of the
-    array it is the interior of."""
+    ``x`` is then an interior ``_bordered(x.shape, (pad, fill))``, and the
+    view is of the array it is the interior of. Otherwise the one op copies
+    ``x`` into such an interior from ``scratch.take``, given back at once
+    because only this layer's ops read it."""
     c, h, w = x.shape
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
     xp, ops = x, []
-    if bordered:
+    if pad:
+        if not bordered:
+            inner = scratch.take(x.shape, (pad, fill))
+            scratch.give(inner, (pad, fill))
+            ops = [(np.copyto, inner, x)]
+            x = inner
         xp = x.base
-    elif pad:
-        xp = scratch((c, h + 2 * pad, w + 2 * pad))
-        ops = [(side.fill, fill) for side in _border(xp, pad)]
-        ops.append((np.copyto, xp[:, pad:pad + h, pad:pad + w], x))
     sc, sh, sw = xp.strides
     win = np.ndarray((c, oh, ow, k, k), xp.dtype, xp, 0,
                      (sc, sh * stride, sw * stride, sh, sw))
@@ -276,14 +275,6 @@ def _source_windows(st, acts, scratch):
     """``_bind_windows`` over the source of windowed layer ``st``."""
     return _bind_windows(acts[st.source], st.kernel, st.stride, st.padding,
                          st.fill, scratch, st.bordered)
-
-
-def _windows(x, k, stride, pad, fill=0.0):
-    """``_bind_windows`` over fresh memory, refreshed once."""
-    win, ops = _bind_windows(np.ascontiguousarray(x), k, stride, pad, fill,
-                             _Scratch())
-    _call(ops)
-    return win
 
 
 def _bind_col2im(gwin, dst, s, pad, scratch):
@@ -556,17 +547,14 @@ _KERNELS = {
 
 def _bind(st, acts, keep, scratch, upto):
     """Bind layer ``st``'s forward over ``acts`` and return the ops that fill
-    its output: slot ``st.index``, the interior of a fresh bordered array if
-    the schedule stores the slot so and it is not the pass's last, slot
-    upto - 1; otherwise a fresh array if the slot is in ``keep`` and one
-    from ``scratch.take`` if not."""
+    its output: slot ``st.index``, stored with the schedule's ``st.border``
+    unless it is the pass's last, slot upto - 1, which is stored unbordered;
+    a fresh array if the slot is in ``keep``, one from ``scratch.take`` if
+    not."""
     scratch.start()
-    if st.border and st.index != upto - 1:
-        out = _bordered(st.out_shape, *st.border)
-    elif st.index in keep:
-        out = np.empty(st.out_shape)
-    else:
-        out = scratch.take(st.out_shape)
+    border = () if st.index == upto - 1 else st.border
+    out = (_bordered(st.out_shape, border) if st.index in keep
+           else scratch.take(st.out_shape, border))
     w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
     acts[st.index], ops = _KERNELS[st.kind][0](st, acts, out, w, scratch)
     return ops
@@ -577,14 +565,16 @@ def _bind_prefix(model, upto, acts, keep, scratch, apply):
     and hand each layer's ops to ``apply`` before the next layer binds.
 
     After each layer, the slots in its ``Step.dead`` outside ``keep`` are
-    given back to ``scratch`` and set to None. At the graph's end or at a
-    partition point, which only a reference to slot upto - 1 crosses, that
-    slot never dies and every other slot dies inside the prefix."""
+    given back to ``scratch`` under their schedule's border and set to None.
+    (The input, slot -1, reads the last layer's border, (): no layer reads
+    that layer's output.) At the graph's end or at a partition point, which
+    only a reference to slot upto - 1 crosses, that slot never dies and
+    every other slot dies inside the prefix."""
     for st in model.schedule[:upto]:
         apply(_bind(st, acts, keep, scratch, upto))
         for r in st.dead:
             if r not in keep:
-                scratch.give(acts[r])
+                scratch.give(acts[r], model.schedule[r].border)
                 acts[r] = None
 
 

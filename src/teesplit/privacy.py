@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import engine
 from .graph import _index, mix_seed
@@ -113,8 +114,8 @@ def ssim(a, b, params=SsimParams()):
     c1 = (params.k1 * span) ** 2
     c2 = (params.k2 * span) ** 2
 
-    win_a = engine._windows(a, params.window_size, 1, 0)
-    win_b = engine._windows(b, params.window_size, 1, 0)
+    win_a = sliding_window_view(a, w.shape, axis=(1, 2))
+    win_b = sliding_window_view(b, w.shape, axis=(1, 2))
     mu_a = np.einsum("cyxij,ij->cyx", win_a, w)
     mu_b = np.einsum("cyxij,ij->cyx", win_b, w)
     da = win_a - mu_a[..., None, None]
@@ -228,7 +229,7 @@ def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
     return next((label for (label, _), ok in zip(scores, flags) if ok), None)
 
 
-def score_boundary(model, bi, images, cfg, params):
+def score_boundary(model, bi, images, cfg):
     """Per-image similarity of the attack's reconstructions at the model's
     ``bi``-th partition point; image ``ii`` is attacked from the seed
     ``mix_seed(cfg.init_seed, bi, ii)``."""
@@ -239,11 +240,11 @@ def score_boundary(model, bi, images, cfg, params):
         exposed = engine.forward_until(model, img, label)
         sub = replace(cfg, init_seed=mix_seed(cfg.init_seed, bi, ii))
         recon = invert_feature_map(model, label, exposed, sub)
-        sims.append(ssim(recon, img, params))
+        sims.append(ssim(recon, img))
     return tuple(sims)
 
 
-def evaluate_privacy(model, images, cfg=AttackConfig(), params=SsimParams(),
+def evaluate_privacy(model, images, cfg=AttackConfig(),
                      threshold=DEFAULT_THRESHOLD, slack=DEFAULT_SLACK):
     """Attack every partition point of the model over a set of images.
 
@@ -259,7 +260,7 @@ def evaluate_privacy(model, images, cfg=AttackConfig(), params=SsimParams(),
             for im in images]
     per_point = []
     for bi, (label, _) in enumerate(model.partition_points):
-        sims = score_boundary(model, bi, imgs, cfg, params)
+        sims = score_boundary(model, bi, imgs, cfg)
         per_point.append((label, float(np.mean(sims)), sims))
     optimal = select_optimal_partition([(lab, m) for lab, m, _ in per_point],
                                        threshold, slack)

@@ -18,6 +18,13 @@ def graph(input_shape, layers, points=()):
     return ts.make_graph("t", input_shape, layers, list(points))
 
 
+def windows(x, k, stride, pad, fill=0.0):
+    """``engine._bind_windows`` of ``x`` over fresh memory, its ops run once."""
+    win, ops = engine._bind_windows(x, k, stride, pad, fill, engine._Scratch())
+    engine._call(ops)
+    return win
+
+
 # ---------------------------------------------------------------------------
 # weight materialization
 
@@ -659,6 +666,61 @@ def test_bordered_slots_match_split_halves_bitwise():
     assert readers == {ts.CONV, ts.DWCONV, ts.MAXPOOL, ts.AVGPOOL}, readers
 
 
+def test_arenas_allocate_each_transient_bordered_shape_once():
+    # BatchNormAffine into a padded DepthwiseConv2d, and a padded MaxPool
+    # into another: slots 0, 3 and 5 are bordered (1, 0.0) and die after
+    # their reader, slot 2 is bordered (1, -inf) and kept, since MaxPool's
+    # backward reads it. The two arenas keep a fresh slot 2 each and share
+    # one (1, 0.0) array through the pool: three bordered arrays, not eight
+    c, h = 4, 32
+    dw = dict(channels=c, kernel=3, stride=1, padding=1)
+    layers = [spec("bn0", ts.BNORM, channels=c, seed=1),
+              spec("dw0", ts.DWCONV, seed=2, **dw),
+              spec("bn1", ts.BNORM, channels=c, seed=3),
+              spec("mp", ts.MAXPOOL, kernel=3, stride=1, padding=1),
+              spec("dw1", ts.DWCONV, seed=4, **dw),
+              spec("bn2", ts.BNORM, channels=c, seed=5),
+              spec("dw2", ts.DWCONV, seed=6, **dw), spec("z", ts.SIGMOID)]
+    m = graph((c, h, h), layers, [("Z", 7)])
+    assert [st.border for st in m.schedule] == [
+        (1, 0.0), (), (1, -np.inf), (1, 0.0), (), (1, 0.0), (), ()]
+    engine._arenas(m, "Z")  # materialize the weights
+    tracemalloc.start()
+    try:
+        arenas = engine._arenas(m, "Z")
+        snap = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    size = c * (h + 2) * (h + 2) * 8
+    held = sum(t.size for t in snap.filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces
+        if t.size == size)
+    assert held <= 3 * size, held / size
+    rng = np.random.default_rng(15)
+    for arena in arenas:
+        x = rng.uniform(0.05, 0.95, m.input_shape)
+        ct = rng.standard_normal(arena.feat.shape)
+        np.copyto(arena.x, x)
+        arena.run()
+        assert arena.feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
+        assert arena.gradient(ct).tobytes() == \
+            ts.input_gradient(m, "Z", x, ct).tobytes()
+
+
+def test_padded_read_of_the_input_fills_no_border(toy4):
+    # block1.conv pads the graph input, which is never bordered: the bound
+    # forward copies it into the interior of a scratch array whose border
+    # was filled when the array was made, and emits no fill of its own
+    arena, _ = engine._arenas(toy4, "L4")
+    assert len(arena._fwd) == 23
+    assert all(getattr(f, "__name__", "") != "fill" for f, _ in arena._fwd)
+    f, (inner, src) = arena._fwd[0]
+    assert f is np.copyto and src is arena.x
+    np.copyto(arena.x, np.random.default_rng(4).uniform(0, 1, toy4.input_shape))
+    arena.run()
+    assert np.array_equal(inner.base, np.pad(arena.x, ((0, 0), (1, 1), (1, 1))))
+
+
 def test_engine_input_validation(toy4):
     with pytest.raises(ts.TensorError):
         ts.forward(toy4, np.zeros((2, 16, 16)))
@@ -683,7 +745,7 @@ def test_windows_match_pad_and_sliding_view(fill):
                                 constant_values=fill)
                     want = sliding_window_view(xp, (k, k), axis=(1, 2))[
                         :, ::stride, ::stride]
-                    got = engine._windows(x, k, stride, pad, fill)
+                    got = windows(x, k, stride, pad, fill)
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                     assert not got.flags.writeable
@@ -702,7 +764,7 @@ def test_col2im_matches_scalar_scatter():
              ((2, 9, 7), 2, 3, 0)]  # rows 2, 5, 8, columns 2, 5, 6 get nothing
     for negzero in (False, True):
         for x_shape, k, stride, pad in cases:
-            win = engine._windows(np.zeros(x_shape), k, stride, pad)
+            win = windows(np.zeros(x_shape), k, stride, pad)
             if negzero:
                 gwin = np.full(win.shape, -0.0)
                 gwin[rng.random(win.shape) < 0.1] = 1.5
