@@ -316,7 +316,7 @@ def profile_from_json(doc):
                 seconds_per_byte=float(transfer["seconds_per_byte"]),
                 clamp=None if clamp is None else tuple(map(float, clamp))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CalibrationError(f"malformed profile document: {exc}") from None
     return validate_profile(profile)
 

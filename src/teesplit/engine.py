@@ -91,15 +91,16 @@ lets no reference but the one to slot b - 1 cross a partition point.
 An ``_Arena`` binds a whole prefix, forward and backward, and keeps the
 ops. It owns the input, the boundary activation, the input gradient and
 each activation its backward reads, each a fresh array; the attack in
-``privacy`` binds two per inversion (the accepted point and the candidate)
-and drops them when the inversion returns. Both take their other arrays
-from one ``_Scratch`` of that inversion. Kernel scratch, the memory that
-lives only inside one call (column blocks, ``gcols``, the col2im planes,
+``privacy`` binds one per inversion (``_arena``), runs every candidate in
+it, keeps the accepted input outside it and drops it when the inversion
+returns. The arena takes its other arrays from one ``_Scratch``, sized by
+a probe binding over fresh arrays. Kernel scratch, the memory that lives
+only inside one call (column blocks, ``gcols``, the col2im planes,
 elementwise temporaries), is one buffer as large as the largest kernel's
-requests, and every kernel of both arenas views it. Every other array,
-an activation no backward reads, a gradient or a padded copy, comes from
-one pool keyed by (shape, border) and is handed back once its last reader
-has run, so a bordered array is reused with its border as it was filled.
+requests, and every kernel of the arena views it. Every other array, an
+activation no backward reads, a gradient or a padded copy, comes from one
+pool keyed by (shape, border) and is handed back once its last reader has
+run, so a bordered array is reused with its border as it was filled.
 Scratch is never kept per layer, and no buffer is module-level: the
 ``_Scratch`` of the public passes hands out fresh arrays.
 """
@@ -632,12 +633,12 @@ class _Arena:
     own. Write an input into ``x``, then ``run`` it; the boundary activation
     is ``feat``. ``gradient`` differentiates the last run; the gradient it
     returns is the arena's own array, rewritten only by its next
-    ``gradient``.
+    ``gradient``, so a ``run`` leaves it as it was.
 
     The arena keeps the input, the boundary activation and each activation
     its backward reads. Every other activation, and every gradient but the
     input's, is taken from ``scratch`` and given back after its last reader,
-    so arenas bound over one sized ``_Scratch`` share those arrays; their
+    so layers whose live ranges do not overlap share one array; those
     values do not outlive one ``run`` or ``gradient``."""
 
     def __init__(self, model, boundary_label, scratch):
@@ -674,14 +675,12 @@ class _Arena:
         return self._grad
 
 
-def _arenas(model, boundary_label):
-    """Two arenas for the prefix up to ``boundary_label`` over one sized
-    ``_Scratch``, sized by binding a third over a fresh one."""
+def _arena(model, boundary_label):
+    """The arena for the prefix up to ``boundary_label`` over a sized
+    ``_Scratch``, sized by binding a probe arena over a fresh one."""
     probe = _Scratch()
     _Arena(model, boundary_label, probe)
-    scratch = _Scratch(probe.need)
-    return (_Arena(model, boundary_label, scratch),
-            _Arena(model, boundary_label, scratch))
+    return _Arena(model, boundary_label, _Scratch(probe.need))
 
 
 # ---------------------------------------------------------------------------

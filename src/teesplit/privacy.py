@@ -150,51 +150,51 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     if steps < 1 or not (0 < cfg.step_size < np.inf):
         raise PrivacyError(f"attack needs integer steps >= 1 and a finite step "
                            f"size > 0, got {cfg.steps!r}, {cfg.step_size!r}")
-    # the accepted point and the candidate, each with the prefix bound over
-    # its own activations; an accepted candidate swaps the two, so each
-    # step's gradient reuses the accepted point's activations
-    acc, cand = engine._arenas(model, boundary_label)
-    np.copyto(acc.x, np.random.default_rng(cfg.init_seed).uniform(
-        lo, hi, size=model.input_shape))
+    # the prefix bound once; the accepted point x lives outside it, and each
+    # candidate is written into the arena's input and run there
+    arena = engine._arena(model, boundary_label)
+    x = np.random.default_rng(cfg.init_seed).uniform(lo, hi, model.input_shape)
+    np.copyto(arena.x, x)
     diff = np.empty(target.shape)
 
-    def loss_of(arena):
+    def loss_of():
         arena.run()
         # overflow here is the divergence signal, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(arena.feat, target, out=diff)
             return float(np.square(diff, out=diff).sum())
 
-    loss = loss_of(acc)
+    loss = loss_of()
     if not math.isfinite(loss):
         raise InversionDivergenceError(0)
     step_size = cfg.step_size
-    stale = 0
+    stale = 0  # steps taken since the last accepted one
     for step in range(1, cfg.steps + 1):
-        grad = acc.gradient(2.0 * (acc.feat - target))
-        improved = False
+        # the arena holds the accepted point's activations at step 1 and
+        # after an accepted step. A step is refused only once step_size is
+        # at the floor, where it stays, so no later step moves x, runs a
+        # candidate or needs a new gradient
+        if stale == 0:
+            grad = arena.gradient(2.0 * (arena.feat - target))
+        stale += 1
         while step_size > 1e-14:
-            # cand.x = clip(acc.x - step_size * grad)
-            np.multiply(grad, step_size, out=cand.x)
-            np.subtract(acc.x, cand.x, out=cand.x)
-            cand.x.clip(lo, hi, out=cand.x)
-            cand_loss = loss_of(cand)
+            # arena.x = clip(x - step_size * grad)
+            np.multiply(grad, step_size, out=arena.x)
+            np.subtract(x, arena.x, out=arena.x)
+            arena.x.clip(lo, hi, out=arena.x)
+            cand_loss = loss_of()
             if not math.isfinite(cand_loss):
                 raise InversionDivergenceError(step)
             if cand_loss <= loss:
-                acc, cand, loss = cand, acc, cand_loss
-                improved = True
+                np.copyto(x, arena.x)
+                loss, stale = cand_loss, 0
                 break
             step_size *= 0.5
         if on_step is not None:
             on_step(step, loss)
-        if improved:
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 20:
-                break
-    return acc.x
+        if stale >= 20:
+            break
+    return x
 
 
 def feasible_boundaries(values, threshold, slack):

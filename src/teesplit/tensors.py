@@ -116,7 +116,10 @@ def tensor_from_bytes(data):
     if len(body) != 4 * n:
         raise TensorError(f"tensor data holds {len(body)} payload bytes, "
                           f"expected {4 * n}")
-    arr = np.frombuffer(body, dtype="<f4").reshape(shape).astype(np.float64)
+    try:
+        arr = np.frombuffer(body, dtype="<f4").reshape(shape)
+    except ValueError:  # extents numpy cannot hold, even with no element
+        raise TensorError(f"implausible tensor extents {shape}") from None
     return require_tensor(arr)
 
 

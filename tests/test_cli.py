@@ -374,6 +374,18 @@ def test_bad_partition_seed_env(tmp_path, capsys, monkeypatch):
     assert "PARTITION_SEED" in capsys.readouterr().err
 
 
+def test_profile_transfer_not_an_object_exits_one(tmp_path, capsys):
+    doc = ts.profile_to_json(ts.builtin_profile("vgg16"))
+    doc["transfer"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["predict", "--model", "vgg16", "--profile", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed profile document")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_input_file_errors(tmp_path, capsys):
     assert run(["simulate", "--model", "toy3", "--input-shape", "1x16x16",
                 "--boundary", "L1", "--input", str(tmp_path / "nope.bin"),

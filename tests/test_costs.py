@@ -211,6 +211,14 @@ def test_profile_json_rejects_clamp_not_a_pair(clamp):
         ts.profile_from_json(doc)
 
 
+@pytest.mark.parametrize("transfer", [5, None, [0.1, 1e-9], "transfer"])
+def test_profile_json_rejects_transfer_not_an_object(transfer):
+    doc = ts.profile_to_json(ts.builtin_profile("resnet50"))
+    doc["transfer"] = transfer
+    with pytest.raises(ts.CalibrationError, match="malformed profile"):
+        ts.profile_from_json(doc)
+
+
 def test_validate_profile_catches_corruption():
     prof = ts.builtin_profile("resnet50")
     pts = list(prof.per_point)

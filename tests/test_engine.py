@@ -531,37 +531,35 @@ def test_input_gradient_aliases_no_cotangent_or_activation():
         for act in acts:
             assert not np.shares_memory(gx, act), b
 
-        # the bound prefix: a gradient from one arena shares no memory with
-        # either arena's activations or the cotangent, and the other arena
-        # running a candidate leaves it as it was
-        one, other = engine._arenas(m, "B")
-        np.copyto(one.x, x)
-        one.run()
-        got = one.gradient(cot)
+        # the bound prefix: its gradient shares no memory with its
+        # activations or the cotangent, and the same arena running a
+        # candidate next leaves it as it was
+        arena = engine._arena(m, "B")
+        np.copyto(arena.x, x)
+        arena.run()
+        got = arena.gradient(cot)
         assert got.tobytes() == gx.tobytes(), b
-        for act in one.acts + other.acts + [cot]:
+        for act in arena.acts + [cot]:
             # a transient slot is None once its last reader is bound
             assert act is None or not np.shares_memory(got, act), b
         kept = got.tobytes()
-        np.copyto(other.x, rng.standard_normal(m.input_shape))
-        other.run()
+        np.copyto(arena.x, rng.standard_normal(m.input_shape))
+        arena.run()
         assert got.tobytes() == kept, b
 
 
 def test_arenas_match_public_api_bitwise_on_random_models():
-    # every kind, bound over two arenas that share scratch and transient
-    # arrays; each arena's runs and gradients, taken in turn, equal
-    # forward_until and input_gradient, and a gradient survives the other
-    # arena's run and gradient that follow it
+    # every kind, bound over one arena whose transient arrays are pooled;
+    # its runs and gradients, taken in turn, equal forward_until and
+    # input_gradient, and a gradient survives the run that follows it
     rng = np.random.default_rng(77)
     kinds = set()
     for _ in range(60):
         m = build_random_model(rng)
         kinds.update(layer.kind for layer in m.layers)
-        arenas = engine._arenas(m, "Z")
+        arena = engine._arena(m, "Z")
         last = None
-        for turn in range(4):
-            arena = arenas[turn % 2]
+        for _ in range(4):
             x = rng.uniform(0.05, 0.95, m.input_shape)
             ct = rng.standard_normal(arena.feat.shape)
             np.copyto(arena.x, x)
@@ -571,8 +569,6 @@ def test_arenas_match_public_api_bitwise_on_random_models():
                 assert last[0].tobytes() == last[1], m.layers
             g = arena.gradient(ct)
             assert g.tobytes() == ts.input_gradient(m, "Z", x, ct).tobytes()
-            if last is not None:
-                assert last[0].tobytes() == last[1], m.layers
             last = g, g.tobytes()
     assert kinds == ALL_KINDS, ALL_KINDS - kinds
 
@@ -656,7 +652,7 @@ def test_bordered_slots_match_split_halves_bitwise():
         assert g_chain.tobytes() == g.tobytes(), m.layers
         for out in (whole, feat, z, g, g_tail, g_chain):
             assert out.flags.c_contiguous
-        arena, _ = engine._arenas(m, "Z")
+        arena = engine._arena(m, "Z")
         np.copyto(arena.x, x)
         arena.run()
         assert arena.feat.tobytes() == z.tobytes()
@@ -670,8 +666,9 @@ def test_arenas_allocate_each_transient_bordered_shape_once():
     # BatchNormAffine into a padded DepthwiseConv2d, and a padded MaxPool
     # into another: slots 0, 3 and 5 are bordered (1, 0.0) and die after
     # their reader, slot 2 is bordered (1, -inf) and kept, since MaxPool's
-    # backward reads it. The two arenas keep a fresh slot 2 each and share
-    # one (1, 0.0) array through the pool: three bordered arrays, not eight
+    # backward reads it. The arena keeps a fresh slot 2, and the three
+    # transient slots share one (1, 0.0) array through the pool: two
+    # bordered arrays, not four
     c, h = 4, 32
     dw = dict(channels=c, kernel=3, stride=1, padding=1)
     layers = [spec("bn0", ts.BNORM, channels=c, seed=1),
@@ -684,10 +681,10 @@ def test_arenas_allocate_each_transient_bordered_shape_once():
     m = graph((c, h, h), layers, [("Z", 7)])
     assert [st.border for st in m.schedule] == [
         (1, 0.0), (), (1, -np.inf), (1, 0.0), (), (1, 0.0), (), ()]
-    engine._arenas(m, "Z")  # materialize the weights
+    engine._arena(m, "Z")  # materialize the weights
     tracemalloc.start()
     try:
-        arenas = engine._arenas(m, "Z")
+        arena = engine._arena(m, "Z")
         snap = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
@@ -695,9 +692,9 @@ def test_arenas_allocate_each_transient_bordered_shape_once():
     held = sum(t.size for t in snap.filter_traces(
         [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces
         if t.size == size)
-    assert held <= 3 * size, held / size
+    assert held <= 2 * size, held / size
     rng = np.random.default_rng(15)
-    for arena in arenas:
+    for _ in range(2):
         x = rng.uniform(0.05, 0.95, m.input_shape)
         ct = rng.standard_normal(arena.feat.shape)
         np.copyto(arena.x, x)
@@ -711,7 +708,7 @@ def test_padded_read_of_the_input_fills_no_border(toy4):
     # block1.conv pads the graph input, which is never bordered: the bound
     # forward copies it into the interior of a scratch array whose border
     # was filled when the array was made, and emits no fill of its own
-    arena, _ = engine._arenas(toy4, "L4")
+    arena = engine._arena(toy4, "L4")
     assert len(arena._fwd) == 23
     assert all(getattr(f, "__name__", "") != "fill" for f, _ in arena._fwd)
     f, (inner, src) = arena._fwd[0]

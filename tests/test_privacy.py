@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import teesplit as ts
+from teesplit import engine
 from teesplit.graph import LayerSpec
 
 from conftest import smooth_images
@@ -217,6 +218,54 @@ def test_inversion_matches_public_api_oracle(which, monkeypatch):
         assert got == want, (label, step_size)
         if step_size > 1.0:  # the start point, then more than one per step
             assert len(candidates) > 1 + len(want), (label, len(candidates))
+
+
+@pytest.mark.parametrize("which", ["toy4", "wide"])
+def test_inversion_refusing_after_accepted_steps_matches_oracle(which,
+                                                               monkeypatch):
+    # from the 7th evaluation of a feature map on, each is pushed far from
+    # the target, in the attack's arena and in the oracle's forward_until
+    # alike: after some accepted steps every candidate is refused, the step
+    # size halves to the floor, and 20 stale steps stop the attack. The
+    # attack takes a gradient only at step 1 and after an accepted step
+    m = (ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+         if which == "toy4" else shallow_wide_model())
+    x = smooth_images(1, m.input_shape, seed=13)[0]
+    oracle_forward = ts.forward_until
+    arena_run, arena_gradient = engine._Arena.run, engine._Arena.gradient
+    evals, grads = [0], [0]
+
+    def pushed(feat):
+        evals[0] += 1
+        if evals[0] > 6:
+            feat += 1e3
+        return feat
+
+    def counted(arena, cotangent):
+        grads[0] += 1
+        return arena_gradient(arena, cotangent)
+
+    monkeypatch.setattr(ts, "forward_until",
+                        lambda *args: pushed(oracle_forward(*args)))
+    monkeypatch.setattr(engine._Arena, "run",
+                        lambda arena: (arena_run(arena), pushed(arena.feat)))
+    monkeypatch.setattr(engine._Arena, "gradient", counted)
+    for bi, label in enumerate(m.labels()):
+        f = oracle_forward(m, x, label)
+        cfg = ts.AttackConfig(steps=40, step_size=0.5, init_seed=bi)
+        got, want = [], []
+        evals[0] = grads[0] = 0
+        r = ts.invert_feature_map(m, label, f, cfg,
+                                  on_step=lambda s, l: got.append((s, l)))
+        # the last accepted step is the one before the first of 20 refused
+        accepted = len(got) - 20
+        assert accepted >= 1 and len(got) < cfg.steps, (label, got)
+        assert grads[0] == accepted + 1, (label, grads[0], accepted)
+        evals[0] = 0
+        r_oracle = oracle_inversion(m, label, f, cfg,
+                                    lambda s, l: want.append((s, l)))
+        assert r.tobytes() == r_oracle.tobytes(), label
+        assert got == want, label
 
 
 @pytest.mark.parametrize("steps, step_size", [

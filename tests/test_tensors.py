@@ -58,6 +58,26 @@ def test_truncated_payload_rejected():
         ts.tensor_from_bytes(blob + b"\x00")
 
 
+def test_extents_numpy_cannot_hold_rejected(tmp_path, capsys):
+    # no payload, so the byte count matches, but numpy holds neither shape:
+    # an extent beyond its index type, and nonzero extents whose product
+    # overflows it
+    for shape in [(2 ** 64 - 1, 0), (2 ** 40, 2 ** 40, 0)]:
+        blob = struct.pack(f"<Q{len(shape)}Q", len(shape), *shape)
+        with pytest.raises(ts.TensorError, match="implausible tensor extents"):
+            ts.tensor_from_bytes(blob)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob)
+        assert ts.main(["simulate", "--model", "toy3", "--input-shape",
+                        "1x16x16", "--boundary", "L1", "--profile",
+                        "builtin:vgg16", "--input", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+    # an empty tensor numpy can hold still loads
+    assert ts.tensor_from_bytes(struct.pack("<3Q", 2, 0, 3)).shape == (0, 3)
+
+
 def test_save_load_tensor(tmp_path):
     arr = np.linspace(0.0, 1.0, 30).reshape(2, 3, 5)
     path = tmp_path / "t.bin"
