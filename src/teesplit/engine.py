@@ -36,6 +36,9 @@ zeroed padded plane of their own in a single strided assignment, and the
 k*k planes are summed offset by offset in row-major order from +0.0. The
 planes are built in blocks of whole channels of at most
 ``_PLANES_BLOCK_BYTES`` (1 MB; one channel when a channel alone is larger).
+They are zeroed once, when made, and shared only between layers whose
+placements write the same positions (``_bind_col2im``), so no op refills
+them.
 
 Subgradient conventions at kinks: ReLU propagates zero at exactly zero;
 max pooling routes the gradient to the window argmax, ties broken toward
@@ -90,19 +93,22 @@ lets no reference but the one to slot b - 1 cross a partition point.
 
 An ``_Arena`` binds a whole prefix, forward and backward, and keeps the
 ops. It owns the input, the boundary activation, the input gradient and
-each activation its backward reads, each a fresh array; the attack in
-``privacy`` binds one per inversion (``_arena``), runs every candidate in
-it, keeps the accepted input outside it and drops it when the inversion
-returns. The arena takes its other arrays from one ``_Scratch``, sized by
-a probe binding over fresh arrays. Kernel scratch, the memory that lives
-only inside one call (column blocks, ``gcols``, the col2im planes,
-elementwise temporaries), is one buffer as large as the largest kernel's
-requests, and every kernel of the arena views it. Every other array, an
-activation no backward reads, a gradient or a padded copy, comes from one
-pool keyed by (shape, border) and is handed back once its last reader has
-run, so a bordered array is reused with its border as it was filled.
-Scratch is never kept per layer, and no buffer is module-level: the
-``_Scratch`` of the public passes hands out fresh arrays.
+each activation its backward reads, each a fresh array, and the cotangent
+array its caller writes before each gradient. Its checks are its own:
+each is one exact test over one of those arrays, raising the error the
+public passes raise. The attack in ``privacy`` binds one per inversion
+(``_arena``), runs every candidate in it, keeps the accepted input outside
+it and drops it when the inversion returns. The arena takes its other
+arrays from one ``_Scratch``, sized by a probe binding over fresh arrays.
+Kernel scratch, the memory that lives only inside one call (column blocks,
+``gcols``, elementwise temporaries), is one buffer as large as the largest
+kernel's requests, and every kernel of the arena views it. Every other
+array, an activation no backward reads, a gradient or a padded copy, comes
+from one pool keyed by (shape, border) and is handed back once its last
+reader has run, so a bordered array is reused with its border as it was
+filled. The col2im planes are pooled too, keyed by (shape, stride and
+output extent). Scratch is never kept per layer, and no buffer is
+module-level: the ``_Scratch`` of the public passes hands out fresh arrays.
 """
 
 from __future__ import annotations
@@ -115,7 +121,7 @@ import numpy as np
 from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, ELEMENT_SIZE, FC,
                     FLATTEN, GAP, MAXPOOL, RELU, SIGMOID, SWISH, weight_key,
                     weight_shapes)
-from .tensors import require_tensor
+from .tensors import TensorError, require_tensor
 
 
 class EngineError(ValueError):
@@ -193,7 +199,8 @@ class _Scratch:
     is handed out again by a later ``take`` of its shape and border. The
     one pool is keyed by how an array is stored, (shape, border), and a
     miss makes ``_bordered(shape, border)``, so a border is filled once,
-    when its array is made, and no op ever writes it again. ``give`` does
+    when its array is made, and no op ever writes it again. Likewise a
+    ``zeroed`` array is zeroed once, when it is made. ``give`` does
     not check for views: the one view a kind makes of another slot,
     Flatten's output, is kept by every arena, so it is never given back."""
 
@@ -201,7 +208,9 @@ class _Scratch:
         self.need = 0 if need is None else need
         self._buffer = None if need is None else np.empty(need, np.uint8)
         self._end = 0
-        self._free = {}  # (shape, border) -> arrays no bound layer reads any more
+        # (shape, border) -> arrays no bound layer reads any more, and
+        # (shape, key) -> the one array ``zeroed`` hands out for that key
+        self._free = {}
 
     def start(self):
         self._end = 0
@@ -220,6 +229,17 @@ class _Scratch:
     def take(self, shape, border=()):
         free = self._free.get((shape, border))
         return free.pop() if free else _bordered(shape, border)
+
+    def zeroed(self, shape, key):
+        """An array of ``shape`` pooled under (shape, ``key``) and given
+        back at once, shared by every kernel that asks with that key; a
+        pool miss makes it zeroed."""
+        free = self._free.get((shape, key))
+        if free:
+            return free[-1]
+        arr = np.zeros(shape)
+        self.give(arr, key)
+        return arr
 
     def give(self, arr, border=()):
         if self._buffer is not None:
@@ -283,14 +303,19 @@ def _bind_col2im(gwin, dst, s, pad, scratch):
     gradients (C, OH, OW, k, k) scatter-added onto the padded input, offset
     by offset in row-major order, and cropped. Only the cropped region of
     the planes is summed; a sum from +0.0 is never -0.0, so the planes'
-    extra +0.0 terms change no bit."""
+    extra +0.0 terms change no bit.
+
+    The planes come zeroed from ``scratch.zeroed``, keyed by the stride and
+    output extent, which fix the positions the place-copies write: every
+    layer sharing them writes the same positions on every call, and no
+    layer writes any other, so those stay +0.0 and no op refills them."""
     c, oh, ow, k, _ = gwin.shape
     h, w = dst.shape[1], dst.shape[2]
     hp, wp = h + 2 * pad, w + 2 * pad
     cb = max(1, _PLANES_BLOCK_BYTES // (k * k * hp * wp * 8))
-    planes = scratch((k, k, min(cb, c), hp, wp))
+    planes = scratch.zeroed((k, k, min(cb, c), hp, wp), (s, oh, ow))
     p0, p1, p2, p3, p4 = planes.strides
-    ops = [(planes.fill, 0.0)]
+    ops = []
     for c0 in range(0, c, cb):
         n = min(cb, c - c0)
         # window value (ch, y, x, i, j) lands on plane (i, j) at
@@ -631,15 +656,24 @@ def _bind_gradient(model, upto, acts, cot, scratch, apply):
 class _Arena:
     """One enclave prefix bound, forward and backward, over arrays of its
     own. Write an input into ``x``, then ``run`` it; the boundary activation
-    is ``feat``. ``gradient`` differentiates the last run; the gradient it
-    returns is the arena's own array, rewritten only by its next
-    ``gradient``, so a ``run`` leaves it as it was.
+    is ``feat``. To differentiate the last run, write a cotangent into
+    ``cot`` and call ``gradient``: a run, or a gradient, may overwrite
+    ``cot``, so write it after the run. The gradient returned is the arena's
+    own array, rewritten only by its next ``gradient``, so a ``run`` leaves
+    it as it was.
 
     The arena keeps the input, the boundary activation and each activation
     its backward reads. Every other activation, and every gradient but the
     input's, is taken from ``scratch`` and given back after its last reader,
     so layers whose live ranges do not overlap share one array; those
-    values do not outlive one ``run`` or ``gradient``."""
+    values do not outlive one ``run`` or ``gradient``.
+
+    ``run`` and ``gradient`` check the input and the cotangent before their
+    ops and the boundary activation and the gradient after them, raising
+    the errors ``forward_until`` and ``input_gradient`` raise. Each check is
+    one exact test over an array the arena owns: its dot with zeros is NaN
+    exactly when an element is not finite, since inf * 0 and NaN * 0 are
+    NaN."""
 
     def __init__(self, model, boundary_label, scratch):
         b = model.boundary_of(boundary_label)
@@ -651,26 +685,31 @@ class _Arena:
         keep = {-1, b - 1, *_kept(model.schedule[:b])}
         _bind_prefix(model, b, self.acts, keep, scratch, fwd.extend)
         self.feat = self.acts[b - 1]
-        self._cot = scratch.take(self.feat.shape)
-        self._grad = _bind_gradient(model, b, self.acts, self._cot, scratch,
+        self.cot = scratch.take(self.feat.shape)
+        self._grad = _bind_gradient(model, b, self.acts, self.cot, scratch,
                                     bwd.extend)
         self._fwd = [(op[0], op[1:]) for op in fwd]
         self._bwd = [(op[0], op[1:]) for op in bwd]
+        zeros = np.zeros(max(self.x.size, self.feat.size))
+        self._x_dot, self._feat_dot, self._cot_dot, self._grad_dot = (
+            partial(np.reshape(a, -1, copy=False).dot, zeros[:a.size])
+            for a in (self.x, self.feat, self.cot, self._grad))
 
     def run(self):
-        require_tensor(self.x, name="model input")
+        if not math.isfinite(self._x_dot()):
+            raise TensorError("model input contains non-finite elements")
         for f, args in self._fwd:
             f(*args)
-        if not np.isfinite(self.feat).all():
+        if not math.isfinite(self._feat_dot()):
             raise EngineError(f"{self._where}: non-finite activation at "
                               f"{self._label!r}")
 
-    def gradient(self, cotangent):
-        np.copyto(self._cot, require_tensor(cotangent, shape=self.feat.shape,
-                                            name="cotangent"))
+    def gradient(self):
+        if not math.isfinite(self._cot_dot()):
+            raise TensorError("cotangent contains non-finite elements")
         for f, args in self._bwd:
             f(*args)
-        if not np.isfinite(self._grad).all():
+        if not math.isfinite(self._grad_dot()):
             raise EngineError(f"{self._where}: non-finite gradient")
         return self._grad
 

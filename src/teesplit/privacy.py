@@ -134,15 +134,24 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     exposed feature map.
 
     Deterministic given the config seed. ``on_step(step, loss)`` is invoked
-    after every iteration when provided. Raises InversionDivergenceError if
-    the loss turns non-finite.
+    after every iteration when provided, inside the attack's
+    ``np.errstate(over="ignore", invalid="ignore")``. Raises PrivacyError
+    for a malformed config, before any work, and InversionDivergenceError
+    if the loss turns non-finite.
     """
     b = model.boundary_of(boundary_label)
     target = require_tensor(exposed, shape=model.layers[b - 1].output_shape,
                             name="exposed feature map")
-    lo, hi = cfg.pixel_bounds
-    if not (hi > lo):
-        raise PrivacyError("pixel bounds must be an increasing pair")
+    try:
+        lo, hi = cfg.pixel_bounds
+        seed = _index(cfg.init_seed)
+        ok = -np.inf < lo < hi < np.inf and seed >= 0
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise PrivacyError(f"attack needs finite increasing pixel bounds and "
+                           f"an integer init seed >= 0, got "
+                           f"{cfg.pixel_bounds!r}, {cfg.init_seed!r}")
     try:
         steps = _index(cfg.steps)
     except TypeError:
@@ -153,47 +162,51 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     # the prefix bound once; the accepted point x lives outside it, and each
     # candidate is written into the arena's input and run there
     arena = engine._arena(model, boundary_label)
-    x = np.random.default_rng(cfg.init_seed).uniform(lo, hi, model.input_shape)
+    x = np.random.default_rng(seed).uniform(lo, hi, model.input_shape)
     np.copyto(arena.x, x)
-    diff = np.empty(target.shape)
+    # diff holds feat - target of the last run, whose square sq sums to the loss
+    diff, sq = np.empty(target.shape), np.empty(target.shape)
 
     def loss_of():
         arena.run()
-        # overflow here is the divergence signal, not an anomaly
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(arena.feat, target, out=diff)
-            return float(np.square(diff, out=diff).sum())
+        np.subtract(arena.feat, target, out=diff)
+        return float(np.add.reduce(np.square(diff, out=sq), None))
 
-    loss = loss_of()
-    if not math.isfinite(loss):
-        raise InversionDivergenceError(0)
-    step_size = cfg.step_size
-    stale = 0  # steps taken since the last accepted one
-    for step in range(1, cfg.steps + 1):
-        # the arena holds the accepted point's activations at step 1 and
-        # after an accepted step. A step is refused only once step_size is
-        # at the floor, where it stays, so no later step moves x, runs a
-        # candidate or needs a new gradient
-        if stale == 0:
-            grad = arena.gradient(2.0 * (arena.feat - target))
-        stale += 1
-        while step_size > 1e-14:
-            # arena.x = clip(x - step_size * grad)
-            np.multiply(grad, step_size, out=arena.x)
-            np.subtract(x, arena.x, out=arena.x)
-            arena.x.clip(lo, hi, out=arena.x)
-            cand_loss = loss_of()
-            if not math.isfinite(cand_loss):
-                raise InversionDivergenceError(step)
-            if cand_loss <= loss:
-                np.copyto(x, arena.x)
-                loss, stale = cand_loss, 0
+    # overflow in the attack is the divergence signal, not an anomaly: every
+    # non-finite loss, activation or gradient raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = loss_of()
+        if not math.isfinite(loss):
+            raise InversionDivergenceError(0)
+        step_size = cfg.step_size
+        stale = 0  # steps taken since the last accepted one
+        for step in range(1, cfg.steps + 1):
+            # the arena holds the accepted point's activations, and diff its
+            # residual, at step 1 and after an accepted step. A step is
+            # refused only once step_size is at the floor, where it stays,
+            # so no later step moves x, runs a candidate or needs a new
+            # gradient
+            if stale == 0:
+                np.multiply(diff, 2.0, out=arena.cot)
+                grad = arena.gradient()
+            stale += 1
+            while step_size > 1e-14:
+                # arena.x = clip(x - step_size * grad)
+                np.multiply(grad, step_size, out=arena.x)
+                np.subtract(x, arena.x, out=arena.x)
+                arena.x.clip(lo, hi, out=arena.x)
+                cand_loss = loss_of()
+                if not math.isfinite(cand_loss):
+                    raise InversionDivergenceError(step)
+                if cand_loss <= loss:
+                    np.copyto(x, arena.x)
+                    loss, stale = cand_loss, 0
+                    break
+                step_size *= 0.5
+            if on_step is not None:
+                on_step(step, loss)
+            if stale >= 20:
                 break
-            step_size *= 0.5
-        if on_step is not None:
-            on_step(step, loss)
-        if stale >= 20:
-            break
     return x
 
 

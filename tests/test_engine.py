@@ -537,9 +537,10 @@ def test_input_gradient_aliases_no_cotangent_or_activation():
         arena = engine._arena(m, "B")
         np.copyto(arena.x, x)
         arena.run()
-        got = arena.gradient(cot)
+        np.copyto(arena.cot, cot)
+        got = arena.gradient()
         assert got.tobytes() == gx.tobytes(), b
-        for act in arena.acts + [cot]:
+        for act in arena.acts + [cot, arena.cot]:
             # a transient slot is None once its last reader is bound
             assert act is None or not np.shares_memory(got, act), b
         kept = got.tobytes()
@@ -567,7 +568,8 @@ def test_arenas_match_public_api_bitwise_on_random_models():
             assert arena.feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
             if last is not None:
                 assert last[0].tobytes() == last[1], m.layers
-            g = arena.gradient(ct)
+            np.copyto(arena.cot, ct)
+            g = arena.gradient()
             assert g.tobytes() == ts.input_gradient(m, "Z", x, ct).tobytes()
             last = g, g.tobytes()
     assert kinds == ALL_KINDS, ALL_KINDS - kinds
@@ -656,7 +658,8 @@ def test_bordered_slots_match_split_halves_bitwise():
         np.copyto(arena.x, x)
         arena.run()
         assert arena.feat.tobytes() == z.tobytes()
-        assert arena.gradient(ct).tobytes() == g.tobytes()
+        np.copyto(arena.cot, ct)
+        assert arena.gradient().tobytes() == g.tobytes()
     assert producers == {ts.RELU, ts.SWISH, ts.SIGMOID, ts.BNORM, ts.ADD,
                          ts.CMUL, ts.MAXPOOL, ts.AVGPOOL, ts.DWCONV}, producers
     assert readers == {ts.CONV, ts.DWCONV, ts.MAXPOOL, ts.AVGPOOL}, readers
@@ -700,7 +703,8 @@ def test_arenas_allocate_each_transient_bordered_shape_once():
         np.copyto(arena.x, x)
         arena.run()
         assert arena.feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
-        assert arena.gradient(ct).tobytes() == \
+        np.copyto(arena.cot, ct)
+        assert arena.gradient().tobytes() == \
             ts.input_gradient(m, "Z", x, ct).tobytes()
 
 
@@ -716,6 +720,78 @@ def test_padded_read_of_the_input_fills_no_border(toy4):
     np.copyto(arena.x, np.random.default_rng(4).uniform(0, 1, toy4.input_shape))
     arena.run()
     assert np.array_equal(inner.base, np.pad(arena.x, ((0, 0), (1, 1), (1, 1))))
+
+
+def test_col2im_planes_are_zeroed_once(toy4):
+    # the planes come zeroed from the pool, so none of the four col2im
+    # layers in toy4's L4 backward emits a fill
+    arena = engine._arena(toy4, "L4")
+    assert len(arena._bwd) == 30
+    assert all(getattr(f, "__name__", "") != "fill" for f, _ in arena._bwd)
+    # two convs whose planes have one shape, (3, 3, 2, 10, 10), but another
+    # stride and output extent: planes shared by shape alone would hold the
+    # stride-1 conv's writes where the stride-2 conv reads +0.0, from the
+    # second gradient on
+    conv = dict(in_channels=2, out_channels=2, kernel=3, padding=1)
+    m = graph((2, 8, 8), [spec("c1", ts.CONV, stride=1, seed=1, **conv),
+                          spec("c2", ts.CONV, stride=2, seed=2, **conv),
+                          spec("z", ts.SIGMOID)], [("Z", 2)])
+    arena = engine._arena(m, "Z")
+    rng = np.random.default_rng(16)
+    for _ in range(2):
+        x = rng.uniform(0.05, 0.95, m.input_shape)
+        ct = rng.standard_normal(arena.feat.shape)
+        np.copyto(arena.x, x)
+        arena.run()
+        np.copyto(arena.cot, ct)
+        assert arena.gradient().tobytes() == \
+            ts.input_gradient(m, "Z", x, ct).tobytes()
+
+
+def _raised(f):
+    with pytest.raises((ts.TensorError, ts.EngineError)) as info:
+        with np.errstate(over="ignore", invalid="ignore"):
+            f()
+    return type(info.value), str(info.value)
+
+
+def test_arena_checks_raise_the_public_passes_errors():
+    # an identity conv added to its own input doubles it: an input of 1e308
+    # overflows the boundary activation, a cotangent of 1e308 the gradient
+    layers = [spec("c", ts.CONV, in_channels=2, out_channels=2, kernel=1,
+                   stride=1, padding=0, seed=0, init="identity"),
+              spec("a", ts.ADD, skip_source=-1), spec("r", ts.RELU)]
+    m = graph((2, 3, 3), layers, [("B", 2)])
+    arena = engine._arena(m, "B")
+    x = np.full(m.input_shape, 0.5)
+    ct = np.ones(arena.feat.shape)
+
+    def run(x):
+        np.copyto(arena.x, x)
+        arena.run()
+
+    def gradient(ct):
+        run(x)
+        np.copyto(arena.cot, ct)
+        return arena.gradient()
+
+    bad_x, bad_ct = x.copy(), ct.copy()
+    bad_x[1, 2, 0], bad_ct[0, 1, 1] = np.inf, np.nan
+    cases = [(run, ts.forward_until, bad_x, ts.TensorError),
+             (run, ts.forward_until, np.full(m.input_shape, 1e308),
+              ts.EngineError),
+             (gradient, lambda m, c, label: ts.input_gradient(m, label, x, c),
+              bad_ct, ts.TensorError),
+             (gradient, lambda m, c, label: ts.input_gradient(m, label, x, c),
+              np.full(ct.shape, 1e308), ts.EngineError)]
+    for arena_call, public, bad, kind in cases:
+        want = _raised(lambda: public(m, bad, "B"))
+        assert want[0] is kind, want
+        assert _raised(lambda: arena_call(bad)) == want
+    # the arena still runs and differentiates finite values after each error
+    g = gradient(ct)
+    assert arena.feat.tobytes() == ts.forward_until(m, x, "B").tobytes()
+    assert g.tobytes() == ts.input_gradient(m, "B", x, ct).tobytes()
 
 
 def test_engine_input_validation(toy4):

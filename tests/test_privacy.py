@@ -241,9 +241,9 @@ def test_inversion_refusing_after_accepted_steps_matches_oracle(which,
             feat += 1e3
         return feat
 
-    def counted(arena, cotangent):
+    def counted(arena):
         grads[0] += 1
-        return arena_gradient(arena, cotangent)
+        return arena_gradient(arena)
 
     monkeypatch.setattr(ts, "forward_until",
                         lambda *args: pushed(oracle_forward(*args)))
@@ -268,13 +268,30 @@ def test_inversion_refusing_after_accepted_steps_matches_oracle(which,
         assert got == want, label
 
 
-@pytest.mark.parametrize("steps, step_size", [
-    (0, 0.05), (-3, 0.05), (2.5, 0.05), (True, 0.05),
-    (5, 0.0), (5, -1.0), (5, float("nan")), (5, float("inf")),
+@pytest.mark.parametrize("fields", [
+    pytest.param(dict(steps=steps, step_size=step_size),
+                 id=f"{steps}-{step_size}")
+    for steps, step_size in [
+        (0, 0.05), (-3, 0.05), (2.5, 0.05), (True, 0.05),
+        (5, 0.0), (5, -1.0), (5, float("nan")), (5, float("inf"))]
+] + [
+    pytest.param(dict(pixel_bounds=bounds),
+                 id=f"bounds={bounds}".replace(" ", ""))
+    for bounds in [(0.0, float("inf")), (-float("inf"), 0.0), (0, 1, 2),
+                   (1.0, 1.0), (1.0, 0.0), (0.0, float("nan")), (0.0,),
+                   None, ("0", "1")]
+] + [
+    pytest.param(dict(init_seed=seed), id=f"seed={seed}")
+    for seed in [-1, 1.5, True, None]
 ])
-def test_inversion_rejects_bad_attack_settings(steps, step_size):
+def test_inversion_rejects_bad_attack_settings(fields, monkeypatch):
     m = shallow_wide_model()
-    cfg = ts.AttackConfig(steps=steps, step_size=step_size)
+    cfg = ts.AttackConfig(**fields)
+
+    def no_work(*args):
+        raise AssertionError("the attack bound its prefix before checking")
+
+    monkeypatch.setattr(engine, "_arena", no_work)
     with pytest.raises(ts.PrivacyError):
         ts.invert_feature_map(m, "A", np.zeros(m.layers[0].output_shape), cfg)
 

@@ -8,7 +8,7 @@ printed in MB, so two trees are compared by running it once per tree:
     PYTHONPATH=/path/to/old/src python3 tools/attack_rss.py
     PYTHONPATH=src python3 tools/attack_rss.py
 
-It takes about 3.5 s and peaks near 481 MB on a 2-vCPU x86-64 host with one
+It takes about 3.5 s and peaks near 482 MB on a 2-vCPU x86-64 host with one
 BLAS thread. The figure moves with how the engine stores and pools an
 inversion's arrays.
 """
