@@ -13,14 +13,29 @@ identical to running the unsplit chain. "Bitwise" holds for one numpy, one
 OpenBLAS and one OpenBLAS kernel (``OPENBLAS_CORETYPE``): another kernel
 sums its products in another order.
 
+Every pass runs a batch: the input, each activation and each gradient
+carries a leading axis of N images, and every kernel computes each image
+as it would alone, so an image's bits depend neither on N nor on the
+other images. A conv is one ``W @ cols`` product per image, never one
+with the batch folded into its columns, which would sum in another order;
+a fully connected layer is one (O, I) @ (I, 1) product per image; every
+reduction runs over one image's own axes. ``forward``, ``forward_until``
+and ``input_gradient`` run their one input as a batch of one; an
+``_Arena`` binds N, the maps the attack inverts together.
+
 The forward pass streams its memory. Columns are built and multiplied in
-blocks of whole output rows of at most ``graph._COLS_BLOCK_BYTES`` (8 MB;
-one row when a row alone is larger), each product written into its slice of the
-preallocated output. The budget sits below glibc's 32 MB ceiling on its
-dynamic mmap threshold, so blocks are recycled from the heap instead of
-being page-faulted fresh on every call; a layer whose columns fit is a
-single block. Every pass drops each activation after the last layer that
-reads it, except the activations the backward reads, which
+blocks of at most ``graph._COLS_BLOCK_BYTES`` (8 MB): as many whole images
+as fit, at least one, or, when one image's columns do not fit, whole
+output rows of one image (one row when a row alone is larger), each
+product written into its slice of the preallocated output. The backward's
+column gradients (``gcols``) are blocked by the same whole-image rule, so
+at 224 pixels, where one image fills a block, column memory does not grow
+with N; the activations, the depthwise and max-pool backward scratch and
+the elementwise temporaries do. The budget sits below glibc's 32 MB
+ceiling on its dynamic mmap threshold, so blocks are recycled from the
+heap instead of being page-faulted fresh on every call; a layer whose
+columns fit is a single block. Every pass drops each activation after the
+last layer that reads it, except the activations the backward reads, which
 ``input_gradient`` and an ``_Arena`` keep.
 
 Activations, and the gradients of the backward pass, are held the way
@@ -34,8 +49,9 @@ The backward pass of conv, depthwise conv and average pooling is one
 ``_bind_col2im``: each kernel offset's window gradients are placed on a
 zeroed padded plane of their own in a single strided assignment, and the
 k*k planes are summed offset by offset in row-major order from +0.0. The
-planes are built in blocks of whole channels of at most
-``_PLANES_BLOCK_BYTES`` (1 MB; one channel when a channel alone is larger).
+planes are built in blocks of whole channels, a batch's images' channels
+taken as one axis, of at most ``_PLANES_BLOCK_BYTES`` (1 MB; one channel
+when a channel alone is larger).
 They are zeroed once, when made, and shared only between layers whose
 placements write the same positions (``_bind_col2im``), so no op refills
 them.
@@ -44,8 +60,8 @@ Subgradient conventions at kinks: ReLU propagates zero at exactly zero;
 max pooling routes the gradient to the window argmax, ties broken toward
 the lowest flat index. The forward keeps no argmax: it is a running
 ``np.maximum`` over the offsets, and the backward recomputes the argmax
-from the kept input and sums each pixel's terms in window order with
-``np.bincount``.
+from the kept input and sums each pixel's terms in window order with one
+``np.bincount`` over every image's channels.
 
 Weights are materialized lazily from each layer's seed (He-style fan-in
 scaling, zero biases) in the layout ``graph.weight_shapes`` gives, and cached
@@ -65,7 +81,7 @@ the array was made (``_bordered``). By the schedule's storage rule
 (``graph.Step``, its only owner), a slot whose readers are all windowed
 layers padding it alike (p > 0, the same fill: 0.0, or -inf for max
 pooling), made by a kind that writes through ``out=``, is the interior
-view of a (C, H + 2p, W + 2p) array, and its readers window that array
+view of an (N, C, H + 2p, W + 2p) array, and its readers window that array
 with no op of their own, so the forward's peak holds no padded copy beside
 the activation. The graph input and a pass's last slot (b - 1) are stored
 unbordered, so every public pass returns a contiguous array and a split's
@@ -96,9 +112,10 @@ ops. It owns the input, the boundary activation, the input gradient and
 each activation its backward reads, each a fresh array, and the cotangent
 array its caller writes before each gradient. Its checks are its own:
 each is one exact test over one of those arrays, raising the error the
-public passes raise. The attack in ``privacy`` binds one per inversion
-(``_arena``), runs every candidate in it, keeps the accepted input outside
-it and drops it when the inversion returns. The arena takes its other
+public passes raise, over the whole batch. The attack in ``privacy`` binds
+one per inversion (``_arena``), over all the maps it inverts together,
+runs every candidate in it, keeps the accepted inputs outside it and
+drops it when the inversion returns. The arena takes its other
 arrays from one ``_Scratch``, sized by a probe binding over fresh arrays.
 Kernel scratch, the memory that lives only inside one call (column blocks,
 ``gcols``, elementwise temporaries), is one buffer as large as the largest
@@ -253,28 +270,29 @@ def _call(ops):
 
 
 def _bordered(shape, border):
-    """A fresh array of ``shape`` (C, H, W), or, for ``border`` (pad, fill),
-    the interior view of a fresh (C, H + 2 pad, W + 2 pad) array whose
-    border is set to ``fill``."""
+    """A fresh array of ``shape`` (..., H, W), or, for ``border`` (pad,
+    fill), the interior view of a fresh (..., H + 2 pad, W + 2 pad) array
+    whose border is set to ``fill``."""
     if not border:
         return np.empty(shape)
-    (c, h, w), (pad, fill) = shape, border
-    xp = np.empty((c, h + 2 * pad, w + 2 * pad))
-    xp[:, :pad] = xp[:, -pad:] = fill
-    xp[:, :, :pad] = xp[:, :, -pad:] = fill
-    return xp[:, pad:-pad, pad:-pad]
+    (*lead, h, w), (pad, fill) = shape, border
+    xp = np.empty((*lead, h + 2 * pad, w + 2 * pad))
+    xp[..., :pad, :] = xp[..., -pad:, :] = fill
+    xp[..., :pad] = xp[..., -pad:] = fill
+    return xp[..., pad:-pad, pad:-pad]
 
 
 def _bind_windows(x, k, stride, pad, fill, scratch, bordered=False):
-    """Read-only (C, OH, OW, k, k) view of the k x k windows of ``x`` padded
-    by ``pad`` on each spatial side with ``fill``, taken at ``stride``, and
-    the ops that refresh the padded array from ``x``. There are none at
-    ``pad == 0``, where the view is of ``x`` itself, nor when ``bordered``:
-    ``x`` is then an interior ``_bordered(x.shape, (pad, fill))``, and the
-    view is of the array it is the interior of. Otherwise the one op copies
-    ``x`` into such an interior from ``scratch.take``, given back at once
-    because only this layer's ops read it."""
-    c, h, w = x.shape
+    """Read-only (..., OH, OW, k, k) view of the k x k windows of ``x``
+    (..., H, W) padded by ``pad`` on each spatial side with ``fill``, taken
+    at ``stride``, and the ops that refresh the padded array from ``x``.
+    There are none at ``pad == 0``, where the view is of ``x`` itself, nor
+    when ``bordered``: ``x`` is then an interior
+    ``_bordered(x.shape, (pad, fill))``, and the view is of the array it is
+    the interior of. Otherwise the one op copies ``x`` into such an interior
+    from ``scratch.take``, given back at once because only this layer's ops
+    read it."""
+    *lead, h, w = x.shape
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
     xp, ops = x, []
@@ -285,9 +303,9 @@ def _bind_windows(x, k, stride, pad, fill, scratch, bordered=False):
             ops = [(np.copyto, inner, x)]
             x = inner
         xp = x.base
-    sc, sh, sw = xp.strides
-    win = np.ndarray((c, oh, ow, k, k), xp.dtype, xp, 0,
-                     (sc, sh * stride, sw * stride, sh, sw))
+    *lead_strides, sh, sw = xp.strides
+    win = np.ndarray((*lead, oh, ow, k, k), xp.dtype, xp, 0,
+                     (*lead_strides, sh * stride, sw * stride, sh, sw))
     win.flags.writeable = False
     return win, ops
 
@@ -300,17 +318,21 @@ def _source_windows(st, acts, scratch):
 
 def _bind_col2im(gwin, dst, s, pad, scratch):
     """The ops writing the adjoint of ``_bind_windows`` into ``dst``: window
-    gradients (C, OH, OW, k, k) scatter-added onto the padded input, offset
-    by offset in row-major order, and cropped. Only the cropped region of
-    the planes is summed; a sum from +0.0 is never -0.0, so the planes'
-    extra +0.0 terms change no bit.
+    gradients (..., OH, OW, k, k) scatter-added onto the padded input,
+    offset by offset in row-major order, and cropped. The leading axes, a
+    batch's images and their channels, are taken as one channel axis, which
+    ``gwin`` and ``dst`` must each be able to view as one. Only the cropped
+    region of the planes is summed; a sum from +0.0 is never -0.0, so the
+    planes' extra +0.0 terms change no bit.
 
     The planes come zeroed from ``scratch.zeroed``, keyed by the stride and
     output extent, which fix the positions the place-copies write: every
     layer sharing them writes the same positions on every call, and no
     layer writes any other, so those stay +0.0 and no op refills them."""
-    c, oh, ow, k, _ = gwin.shape
-    h, w = dst.shape[1], dst.shape[2]
+    *_, oh, ow, k, _ = gwin.shape
+    gwin = np.reshape(gwin, (-1, oh, ow, k, k), copy=False)
+    dst = np.reshape(dst, (-1,) + dst.shape[-2:], copy=False)
+    c, h, w = dst.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     cb = max(1, _PLANES_BLOCK_BYTES // (k * k * hp * wp * 8))
     planes = scratch.zeroed((k, k, min(cb, c), hp, wp), (s, oh, ow))
@@ -344,21 +366,30 @@ def _conv(st, acts, out, w, scratch):
     o, oh, ow = st.out_shape
     win, ops = _source_windows(st, acts, scratch)
     wmat = w["w"].reshape(o, -1)
-    out2 = out.reshape(o, oh * ow)
+    n, kk = len(out), wmat.shape[1]
+    out2 = out.reshape(n, o, oh * ow)
+    # blocks of as many whole images as fit (st.rows // OH), else of
+    # st.rows output rows of one image
+    per, rows = max(1, st.rows // oh), min(st.rows, oh)
     buf = None
-    for r in range(0, oh, st.rows):
-        # (C*k*k, rows*OW) columns: each copied run is a whole output row,
-        # and a one-block 1x1 stride-1 unpadded view is already contiguous
-        src = win[:, r:r + st.rows].transpose(0, 3, 4, 1, 2)
-        n = src.shape[3] * ow
-        if src.flags.c_contiguous:
-            cols = src.reshape(-1, n)
-        else:
-            if buf is None:  # the first block is the largest
-                buf = scratch((wmat.shape[1] * n,))
-            cols = buf[:wmat.shape[1] * n].reshape(-1, n)
-            ops.append((np.copyto, cols.reshape(src.shape), src))
-        ops.append((np.matmul, wmat, cols, out2[:, r * ow:r * ow + n]))
+    for i in range(0, n, per):
+        for r in range(0, oh, rows):
+            # (images, C*k*k, rows*OW) columns: each copied run is a whole
+            # output row, and a 1x1 stride-1 unpadded view of whole images
+            # is already contiguous
+            src = win[i:i + per, :, r:r + rows].transpose(0, 1, 4, 5, 2, 3)
+            m, cnt = len(src), src.shape[4] * ow
+            if src.flags.c_contiguous:
+                cols = src.reshape(m, kk, cnt)
+            else:
+                if buf is None:  # the first block is the largest
+                    buf = scratch((m * kk * cnt,))
+                cols = buf[:m * kk * cnt].reshape(m, kk, cnt)
+                ops.append((np.copyto, cols.reshape(src.shape), src))
+            # one product per image: a batch is never folded into the
+            # columns, which would change the products' bits
+            ops.append((np.matmul, wmat, cols,
+                        out2[i:i + m, :, r * ow:r * ow + cnt]))
     ops.append((np.add, out2, w["b"][:, None], out2))
     return out, ops
 
@@ -367,21 +398,29 @@ def _conv_grad(st, g, acts, w, dsts, scratch):
     k = st.kernel
     o, oh, ow = st.out_shape
     wt = w["w"].reshape(o, -1).T
-    gcols = scratch((wt.shape[0], oh * ow))  # (C*k*k, OH*OW)
-    gwin = gcols.reshape(st.in_shape[0], k, k, oh, ow).transpose(0, 3, 4, 1, 2)
-    return dsts, ([(np.matmul, wt, g.reshape(o, oh * ow), gcols)]
-                  + _bind_col2im(gwin, dsts[0], st.stride, st.padding, scratch))
+    n, per = len(g), max(1, st.rows // oh)  # the forward's whole images
+    # (images, C*k*k, OH*OW) column gradients
+    gcols = scratch((min(per, n), wt.shape[0], oh * ow))
+    g2 = g.reshape(n, o, oh * ow)
+    ops = []
+    for i in range(0, n, per):
+        m = min(per, n - i)
+        gwin = gcols[:m].reshape(m, st.in_shape[0], k, k, oh, ow)
+        ops += [(np.matmul, wt, g2[i:i + m], gcols[:m])] + _bind_col2im(
+            gwin.transpose(0, 1, 4, 5, 2, 3), dsts[0][i:i + m], st.stride,
+            st.padding, scratch)
+    return dsts, ops
 
 
 def _dwconv(st, acts, out, w, scratch):
     k = st.kernel
     win, ops = _source_windows(st, acts, scratch)
-    prod = scratch(st.out_shape)
+    prod = scratch(out.shape)
     ops.append((out.fill, 0.0))
     # one (C, OH, OW) slab per kernel offset, in _bind_col2im's order
     for i in range(k):
         for j in range(k):
-            ops += [(np.multiply, win[:, :, :, i, j],
+            ops += [(np.multiply, win[..., i, j],
                      w["w"][:, i, j, None, None], prod),
                     (np.add, out, prod, out)]
     ops.append((np.add, out, w["b"][:, None, None], out))
@@ -390,11 +429,11 @@ def _dwconv(st, acts, out, w, scratch):
 
 def _dwconv_grad(st, g, acts, w, dsts, scratch):
     k = st.kernel
-    # (k, k, C, OH, OW) products, viewed as (C, OH, OW, k, k)
-    prods = scratch((k, k) + st.out_shape)
-    wk = w["w"].transpose(1, 2, 0)[:, :, :, None, None]
+    # (k, k, N, C, OH, OW) products, viewed as (N, C, OH, OW, k, k)
+    prods = scratch((k, k) + g.shape)
+    wk = w["w"].transpose(1, 2, 0)[:, :, None, :, None, None]
     return dsts, ([(np.multiply, wk, g, prods)]
-                  + _bind_col2im(prods.transpose(2, 3, 4, 0, 1), dsts[0],
+                  + _bind_col2im(prods.transpose(2, 3, 4, 5, 0, 1), dsts[0],
                                  st.stride, st.padding, scratch))
 
 
@@ -403,36 +442,38 @@ def _maxpool(st, acts, out, w, scratch):
     win, ops = _source_windows(st, acts, scratch)
     # on a tie np.maximum returns its second operand: the earlier offset
     if k == 1:
-        ops.append((np.copyto, out, win[:, :, :, 0, 0]))
+        ops.append((np.copyto, out, win[..., 0, 0]))
     else:
-        ops.append((partial(np.maximum, win[:, :, :, 0, 1],
-                            win[:, :, :, 0, 0], out=out),))
-    ops += [(partial(np.maximum, win[:, :, :, i, j], out, out=out),)
+        ops.append((partial(np.maximum, win[..., 0, 1], win[..., 0, 0],
+                            out=out),))
+    ops += [(partial(np.maximum, win[..., i, j], out, out=out),)
             for i in range(k) for j in range(k) if i * k + j > 1]
     return out, ops
 
 
 def _maxpool_grad(st, g, acts, w, dsts, scratch):
     """Route each window's gradient to its first argmax, recomputed from the
-    input; ``bincount`` sums the terms of a pixel in window order from zero."""
+    input; ``bincount`` sums the terms of a pixel in window order from zero,
+    over every image's channels at once."""
     k, s, pad = st.kernel, st.stride, st.padding
-    c, oh, ow = st.out_shape
+    _, oh, ow = st.out_shape
     _, h, wd = st.in_shape
     hp, wp = h + 2 * pad, wd + 2 * pad
+    padded = g.shape[:2] + (hp, wp)  # every image's padded input
     win, ops = _source_windows(st, acts, scratch)
-    flat = scratch((c, oh, ow, k * k))
-    idx = scratch(st.out_shape, np.intp)
-    route = scratch(st.out_shape, np.intp)
+    flat = scratch(g.shape + (k * k,))
+    idx = scratch(g.shape, np.intp)
+    route = scratch(g.shape, np.intp)
     # routing base: the flat padded index of each window's corner, and each
     # offset's distance from it
-    corner = np.arange(c * hp * wp).reshape(c, hp, wp)[:, :s * oh:s, :s * ow:s]
-    corner = corner.copy()
+    corner = np.arange(math.prod(padded)).reshape(padded)
+    corner = corner[..., :s * oh:s, :s * ow:s].copy()
     offset = (np.arange(k)[:, None] * wp + np.arange(k)).ravel()
     gflat, rflat, dst = g.reshape(-1), route.reshape(-1), dsts[0]
 
     def scatter():
-        xpg = np.bincount(rflat, weights=gflat, minlength=c * hp * wp)
-        np.copyto(dst, xpg.reshape(c, hp, wp)[:, pad:pad + h, pad:pad + wd])
+        xpg = np.bincount(rflat, weights=gflat, minlength=math.prod(padded))
+        np.copyto(dst, xpg.reshape(padded)[..., pad:pad + h, pad:pad + wd])
 
     return dsts, ops + [(np.copyto, flat.reshape(win.shape), win),
                         (flat.argmax, -1, idx),
@@ -448,7 +489,7 @@ def _avgpool(st, acts, out, w, scratch):
 
 def _avgpool_grad(st, g, acts, w, dsts, scratch):
     k = st.kernel
-    gk = scratch(st.out_shape)
+    gk = scratch(g.shape)
     gwin = np.broadcast_to(gk[..., None, None], gk.shape + (k, k))
     return dsts, ([(np.divide, g, k * k, gk)]
                   + _bind_col2im(gwin, dsts[0], st.stride, st.padding, scratch))
@@ -505,13 +546,18 @@ def _gap_grad(st, g, acts, w, dsts, scratch):
     return dsts, [(np.divide, g, h * wd, mean), (np.copyto, dsts[0], mean)]
 
 
+def _gate(st, acts):
+    """The channel gate's per-channel factors, as (N, C, 1, 1)."""
+    return acts[st.source].reshape(len(acts[st.source]), -1, 1, 1)
+
+
 def _cmul_grad(st, g, acts, w, dsts, scratch):
     u = acts[st.refs[1]]
-    gate = acts[st.source].reshape(-1)[:, None, None]
     prod = scratch(u.shape)
     return dsts, [(np.multiply, g, u, prod),
-                  (partial(np.sum, prod, axis=(1, 2), out=dsts[0].reshape(-1)),),
-                  (np.multiply, g, gate, dsts[1])]
+                  (partial(np.sum, prod, axis=(-2, -1),
+                           out=dsts[0].reshape(len(g), -1)),),
+                  (np.multiply, g, _gate(st, acts), dsts[1])]
 
 
 def _keeps_nothing(st):
@@ -533,11 +579,14 @@ def _keeps_output(st):
 _KERNELS = {
     CONV: (_conv, _conv_grad, _keeps_nothing),
     DWCONV: (_dwconv, _dwconv_grad, _keeps_nothing),
+    # one (O, I) @ (I, 1) product per image, never (N, I) @ (I, O)
     FC: (lambda st, acts, out, w, scratch: (out, [
-            (np.matmul, w["w"], acts[st.source].reshape(-1), out),
+            (np.matmul, w["w"], acts[st.source].reshape(len(out), -1, 1),
+             out.reshape(len(out), -1, 1)),
             (np.add, out, w["b"], out)]),
          lambda st, g, acts, w, dsts, scratch: (dsts, [
-             (np.matmul, w["w"].T, g, dsts[0].reshape(-1))]),
+             (np.matmul, w["w"].T, g.reshape(len(g), -1, 1),
+              dsts[0].reshape(len(g), -1, 1))]),
          _keeps_nothing),
     RELU: (lambda st, acts, out, w, scratch: (out, [
                (partial(np.maximum, acts[st.source], 0.0, out=out),)]),
@@ -553,18 +602,18 @@ _KERNELS = {
     MAXPOOL: (_maxpool, _maxpool_grad, _keeps_source),
     AVGPOOL: (_avgpool, _avgpool_grad, _keeps_nothing),
     GAP: (lambda st, acts, out, w, scratch: (out, [
-              (partial(np.mean, acts[st.source], axis=(1, 2), keepdims=True,
-                        out=out),)]),
+              (partial(np.mean, acts[st.source], axis=(-2, -1),
+                       keepdims=True, out=out),)]),
           _gap_grad, _keeps_nothing),
     ADD: (lambda st, acts, out, w, scratch: (out, [
               (np.add, acts[st.source], acts[st.refs[1]], out)]),
           lambda st, g, acts, w, dsts, scratch: ((g, g), []),
           _keeps_nothing),
     CMUL: (lambda st, acts, out, w, scratch: (out, [
-               (np.multiply, acts[st.refs[1]],
-                acts[st.source].reshape(-1)[:, None, None], out)]),
+               (np.multiply, acts[st.refs[1]], _gate(st, acts), out)]),
            _cmul_grad, lambda st: st.refs),
-    FLATTEN: (lambda st, acts, out, w, scratch: (acts[st.source].reshape(-1), []),
+    FLATTEN: (lambda st, acts, out, w, scratch: (
+                  acts[st.source].reshape(len(out), -1), []),
               lambda st, g, acts, w, dsts, scratch: (
                   (g.reshape(acts[st.source].shape),), []),
               lambda st: (st.source, st.index)),
@@ -579,8 +628,9 @@ def _bind(st, acts, keep, scratch, upto):
     not."""
     scratch.start()
     border = () if st.index == upto - 1 else st.border
-    out = (_bordered(st.out_shape, border) if st.index in keep
-           else scratch.take(st.out_shape, border))
+    shape = (len(acts[st.source]),) + st.out_shape  # its source's batch axis
+    out = (_bordered(shape, border) if st.index in keep
+           else scratch.take(shape, border))
     w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
     acts[st.index], ops = _KERNELS[st.kind][0](st, acts, out, w, scratch)
     return ops
@@ -620,7 +670,8 @@ def _bind_backward(model, st, acts, grads, scratch):
     w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
     dsts, later = [], []
     for r in st.refs:
-        shape = model.input_shape if r < 0 else model.layers[r].output_shape
+        shape = (len(g),) + (model.input_shape if r < 0
+                             else model.layers[r].output_shape)
         later.append(grads[r] is not None)
         if later[-1]:
             dsts.append(scratch(shape))
@@ -675,11 +726,11 @@ class _Arena:
     exactly when an element is not finite, since inf * 0 and NaN * 0 are
     NaN."""
 
-    def __init__(self, model, boundary_label, scratch):
+    def __init__(self, model, boundary_label, scratch, n):
         b = model.boundary_of(boundary_label)
         self._where = f"model {model.name!r}"
         self._label = boundary_label
-        self.x = np.empty(model.input_shape)
+        self.x = np.empty((n,) + model.input_shape)
         self.acts = [None] * b + [self.x]
         fwd, bwd = [], []
         keep = {-1, b - 1, *_kept(model.schedule[:b])}
@@ -714,23 +765,25 @@ class _Arena:
         return self._grad
 
 
-def _arena(model, boundary_label):
-    """The arena for the prefix up to ``boundary_label`` over a sized
-    ``_Scratch``, sized by binding a probe arena over a fresh one."""
+def _arena(model, boundary_label, n=1):
+    """The arena for the prefix up to ``boundary_label`` over a batch of
+    ``n`` inputs and a sized ``_Scratch``, sized by binding a probe arena
+    over a fresh one."""
     probe = _Scratch()
-    _Arena(model, boundary_label, probe)
-    return _Arena(model, boundary_label, _Scratch(probe.need))
+    _Arena(model, boundary_label, probe, n)
+    return _Arena(model, boundary_label, _Scratch(probe.need), n)
 
 
 # ---------------------------------------------------------------------------
 # passes
 
 def _run(model, x, upto, keep, what):
-    """Run layers [0, upto) on fresh arrays, each layer's ops applied as
-    soon as they are bound; returns the activations in slot layout, None in
-    each slot outside ``keep`` that has died (``_bind_prefix``)."""
+    """Run layers [0, upto) on one input ``x``, as a batch of one, on fresh
+    arrays, each layer's ops applied as soon as they are bound; returns the
+    activations in slot layout, each with its batch axis, None in each slot
+    outside ``keep`` that has died (``_bind_prefix``)."""
     acts = [None] * upto + [require_tensor(x, shape=model.input_shape,
-                                           name="model input")]
+                                           name="model input")[None]]
     _bind_prefix(model, upto, acts, keep, _Scratch(), _call)
     if not np.isfinite(acts[upto - 1]).all():
         raise EngineError(f"model {model.name!r}: non-finite {what}")
@@ -740,13 +793,13 @@ def _run(model, x, upto, keep, what):
 def forward(model, x):
     """Run the whole graph; returns the final activation."""
     n = len(model.layers)
-    return _run(model, x, n, (), "output")[n - 1]
+    return _run(model, x, n, (), "output")[n - 1][0]
 
 
 def forward_until(model, x, boundary_label):
     """Run the enclave-side prefix only; returns the exposed feature map."""
     b = model.boundary_of(boundary_label)
-    return _run(model, x, b, (), f"activation at {boundary_label!r}")[b - 1]
+    return _run(model, x, b, (), f"activation at {boundary_label!r}")[b - 1][0]
 
 
 def input_gradient(model, boundary_label, x, cotangent):
@@ -758,8 +811,9 @@ def input_gradient(model, boundary_label, x, cotangent):
     b = model.boundary_of(boundary_label)
     acts = _run(model, x, b, _kept(model.schedule[:b]),
                 f"activation at {boundary_label!r}")
-    cot = require_tensor(cotangent, shape=acts[b - 1].shape, name="cotangent")
-    gx = _bind_gradient(model, b, acts, cot, _Scratch(), _call)
+    cot = require_tensor(cotangent, shape=acts[b - 1].shape[1:],
+                         name="cotangent")
+    gx = _bind_gradient(model, b, acts, cot[None], _Scratch(), _call)
     if not np.isfinite(gx).all():
         raise EngineError(f"model {model.name!r}: non-finite gradient")
-    return gx
+    return gx[0]

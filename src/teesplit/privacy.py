@@ -38,11 +38,14 @@ class PrivacyError(ValueError):
 
 
 class InversionDivergenceError(RuntimeError):
-    """Attack loss became non-finite; carries the offending step index."""
+    """Attack loss became non-finite; carries the offending step index and
+    the index of the image (0 for a single map) whose loss it was."""
 
-    def __init__(self, step):
-        super().__init__(f"attack loss diverged at step {step}")
+    def __init__(self, step, image=0):
+        super().__init__(
+            f"attack loss of image {image} diverged at step {step}")
         self.step = step
+        self.image = image
 
 
 @dataclass(frozen=True)
@@ -73,15 +76,35 @@ class PrivacyReport:
         return [lab for lab, _, _ in self.per_point]
 
 
+def _holds(test, value):
+    """``test(value)``, False where comparing ``value`` raises (a string,
+    None, an array)."""
+    try:
+        return bool(test(value))
+    except (TypeError, ValueError):
+        return False
+
+
 def _require_positive(name, value):
-    if not (0 < value < np.inf):
+    if not _holds(lambda v: 0 < v < np.inf, value):
         raise PrivacyError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _window_size(size):
+    """``size`` as an int, if it is an odd integer >= 3."""
+    try:
+        k = _index(size)
+    except TypeError:
+        k = 0
+    if k % 2 != 1 or k < 3:
+        raise PrivacyError(f"window size must be an odd integer >= 3, "
+                           f"got {size!r}")
+    return k
 
 
 def gaussian_window(size, sigma):
     """Normalized 2-D Gaussian weights."""
-    if size % 2 != 1 or size < 3:
-        raise PrivacyError(f"window size must be odd and >= 3, got {size}")
+    size = _window_size(size)
     _require_positive("sigma", sigma)
     r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(r ** 2) / (2.0 * sigma ** 2))
@@ -107,10 +130,10 @@ def ssim(a, b, params=SsimParams()):
     eps = 1e-12
     if a.min() < -eps or a.max() > span + eps or b.min() < -eps or b.max() > span + eps:
         raise PrivacyError(f"image values must lie within [0, {span}]")
-    w = gaussian_window(params.window_size, params.sigma)
-    if a.shape[1] < params.window_size or a.shape[2] < params.window_size:
-        raise PrivacyError(
-            f"spatial extent {a.shape[1:]} below window size {params.window_size}")
+    k = _window_size(params.window_size)
+    if a.shape[1] < k or a.shape[2] < k:  # before the window is built
+        raise PrivacyError(f"spatial extent {a.shape[1:]} below window size {k}")
+    w = gaussian_window(k, params.sigma)
     c1 = (params.k1 * span) ** 2
     c2 = (params.k2 * span) ** 2
 
@@ -133,81 +156,127 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     """Reconstruct a plausible input whose boundary activation matches the
     exposed feature map.
 
-    Deterministic given the config seed. ``on_step(step, loss)`` is invoked
-    after every iteration when provided, inside the attack's
-    ``np.errstate(over="ignore", invalid="ignore")``. Raises PrivacyError
-    for a malformed config, before any work, and InversionDivergenceError
-    if the loss turns non-finite.
+    ``exposed`` is one map, or a stack of N maps on a new leading axis with
+    ``cfg.init_seed`` a tuple of N seeds; the result has the same leading
+    shape. A stack's maps are attacked together, over one bound prefix,
+    and each map's reconstruction is bitwise the one a call with that map
+    and its seed alone returns. Deterministic given the config seed.
+    ``on_step(step, loss)`` is invoked after every iteration when provided,
+    inside the attack's ``np.errstate(over="ignore", invalid="ignore")``,
+    until every map's attack has stopped; for a stack, ``loss`` is the
+    maps' losses summed in stack order, a stopped map's last one included.
+    Raises PrivacyError for a malformed config, before any work, and
+    InversionDivergenceError, naming the step and the map's index, if a
+    loss turns non-finite.
     """
     b = model.boundary_of(boundary_label)
-    target = require_tensor(exposed, shape=model.layers[b - 1].output_shape,
-                            name="exposed feature map")
+    shape = model.layers[b - 1].output_shape
+    stacked = np.ndim(exposed) == len(shape) + 1
+    target = require_tensor(exposed, name="exposed feature map",
+                            shape=np.shape(exposed)[:int(stacked)] + shape)
+    if not stacked:
+        target = target[None]
+    n = len(target)
     try:
         lo, hi = cfg.pixel_bounds
-        seed = _index(cfg.init_seed)
-        ok = -np.inf < lo < hi < np.inf and seed >= 0
+        seeds = [_index(s) for s in (cfg.init_seed if stacked
+                                     else (cfg.init_seed,))]
+        ok = -np.inf < lo < hi < np.inf and len(seeds) == n >= 1 and all(
+            s >= 0 for s in seeds)
     except (TypeError, ValueError):
         ok = False
     if not ok:
         raise PrivacyError(f"attack needs finite increasing pixel bounds and "
-                           f"an integer init seed >= 0, got "
+                           f"an integer init seed >= 0 per map, got "
                            f"{cfg.pixel_bounds!r}, {cfg.init_seed!r}")
     try:
         steps = _index(cfg.steps)
     except TypeError:
         steps = 0
-    if steps < 1 or not (0 < cfg.step_size < np.inf):
+    if steps < 1 or not _holds(lambda v: 0 < v < np.inf, cfg.step_size):
         raise PrivacyError(f"attack needs integer steps >= 1 and a finite step "
                            f"size > 0, got {cfg.steps!r}, {cfg.step_size!r}")
-    # the prefix bound once; the accepted point x lives outside it, and each
-    # candidate is written into the arena's input and run there
-    arena = engine._arena(model, boundary_label)
-    x = np.random.default_rng(seed).uniform(lo, hi, model.input_shape)
+    # the prefix bound once over all n maps; the accepted points x live
+    # outside it, and each candidate is written into its row of the arena's
+    # input and run there. A row nobody writes keeps its input, so a re-run
+    # gives it the same activations, residual and loss
+    arena = engine._arena(model, boundary_label, n)
+    rng = np.random.default_rng
+    starts = [rng(s).uniform(lo, hi, (1,) + model.input_shape) for s in seeds]
+    x = starts[0] if n == 1 else np.concatenate(starts)  # one map: no copy
     np.copyto(arena.x, x)
-    # diff holds feat - target of the last run, whose square sq sums to the loss
+    # diff holds feat - target of the last run, whose square sq sums, row by
+    # row, to each map's loss
     diff, sq = np.empty(target.shape), np.empty(target.shape)
+    rows = sq.reshape(n, -1)
 
-    def loss_of():
+    def losses_of(step):
+        # a row not searching re-runs the input of its last finite loss
         arena.run()
         np.subtract(arena.feat, target, out=diff)
-        return float(np.add.reduce(np.square(diff, out=sq), None))
+        np.square(diff, out=sq)
+        got = np.add.reduce(rows, axis=1).tolist()
+        for i, value in enumerate(got):
+            if not math.isfinite(value):
+                raise InversionDivergenceError(step, i)
+        return got
+
+    # a per-map value as an array broadcasting over an input or a map
+    per_x = (n,) + (1,) * len(model.input_shape)
+    per_map = (n,) + (1,) * len(shape)
+
+    def mask(which, per):
+        m = np.zeros(per, bool)
+        m[which] = True
+        return m
 
     # overflow in the attack is the divergence signal, not an anomaly: every
     # non-finite loss, activation or gradient raises
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = loss_of()
-        if not math.isfinite(loss):
-            raise InversionDivergenceError(0)
-        step_size = cfg.step_size
-        stale = 0  # steps taken since the last accepted one
-        for step in range(1, cfg.steps + 1):
+        loss = losses_of(0)
+        sizes = [cfg.step_size] * n  # each map's step size
+        stale = [0] * n  # steps taken since the last accepted one
+        for step in range(1, steps + 1):
             # the arena holds the accepted point's activations, and diff its
-            # residual, at step 1 and after an accepted step. A step is
-            # refused only once step_size is at the floor, where it stays,
-            # so no later step moves x, runs a candidate or needs a new
-            # gradient
-            if stale == 0:
-                np.multiply(diff, 2.0, out=arena.cot)
+            # residual, in each row at step 1 and after an accepted step. A
+            # step is refused only once the map's step size is at the floor,
+            # where it stays, so no later step moves its x, runs a
+            # candidate or needs a new gradient: a map that has stopped
+            # after 20 stale steps is left as it is while the others go on
+            need = [i for i in range(n) if stale[i] == 0]
+            if need:
+                # a zero cotangent on the other rows, maps at the floor,
+                # whose gradients are never read again
+                np.multiply(diff, 2.0 if len(need) == n
+                            else 2.0 * mask(need, per_map), out=arena.cot)
                 grad = arena.gradient()
-            stale += 1
-            while step_size > 1e-14:
-                # arena.x = clip(x - step_size * grad)
-                np.multiply(grad, step_size, out=arena.x)
-                np.subtract(x, arena.x, out=arena.x)
-                arena.x.clip(lo, hi, out=arena.x)
-                cand_loss = loss_of()
-                if not math.isfinite(cand_loss):
-                    raise InversionDivergenceError(step)
-                if cand_loss <= loss:
+            stale = [k + 1 for k in stale]
+            search = [i for i in range(n) if sizes[i] > 1e-14]
+            while search:
+                # arena.x = clip(x - step size * grad) on the searching rows
+                rows_of = ({} if len(search) == n
+                           else {"where": mask(search, per_x)})
+                np.multiply(grad, np.reshape(sizes, per_x), out=arena.x,
+                            **rows_of)
+                np.subtract(x, arena.x, out=arena.x, **rows_of)
+                arena.x.clip(lo, hi, out=arena.x, **rows_of)
+                cand = losses_of(step)
+                took = [i for i in search if cand[i] <= loss[i]]
+                if len(took) == n:
                     np.copyto(x, arena.x)
-                    loss, stale = cand_loss, 0
-                    break
-                step_size *= 0.5
+                elif took:
+                    np.copyto(x, arena.x, where=mask(took, per_x))
+                for i in took:
+                    loss[i], stale[i] = cand[i], 0
+                search = [i for i in search if stale[i]]
+                for i in search:
+                    sizes[i] *= 0.5
+                search = [i for i in search if sizes[i] > 1e-14]
             if on_step is not None:
-                on_step(step, loss)
-            if stale >= 20:
+                on_step(step, sum(loss))
+            if min(stale) >= 20:
                 break
-    return x
+    return x if stacked else x[0]
 
 
 def feasible_boundaries(values, threshold, slack):
@@ -223,9 +292,9 @@ def feasible_boundaries(values, threshold, slack):
 
 
 def _check_rule(threshold, slack):
-    if not (threshold > 0):
+    if not _holds(lambda v: v > 0, threshold):
         raise PrivacyError("threshold must be positive")
-    if not (slack >= 0):
+    if not _holds(lambda v: v >= 0, slack):
         raise PrivacyError("slack must be non-negative")
 
 
@@ -244,17 +313,17 @@ def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
 
 def score_boundary(model, bi, images, cfg):
     """Per-image similarity of the attack's reconstructions at the model's
-    ``bi``-th partition point; image ``ii`` is attacked from the seed
-    ``mix_seed(cfg.init_seed, bi, ii)``."""
+    ``bi``-th partition point. The images' exposed maps are attacked as one
+    stack, in one ``invert_feature_map`` call; image ``ii`` is attacked
+    from the seed ``mix_seed(cfg.init_seed, bi, ii)``."""
+    if not images:
+        raise PrivacyError("need at least one image")
     label = model.partition_points[bi][0]
-    sims = []
     # module-global lookups, so a wrapper set on this module sees each call
-    for ii, img in enumerate(images):
-        exposed = engine.forward_until(model, img, label)
-        sub = replace(cfg, init_seed=mix_seed(cfg.init_seed, bi, ii))
-        recon = invert_feature_map(model, label, exposed, sub)
-        sims.append(ssim(recon, img))
-    return tuple(sims)
+    maps = np.stack([engine.forward_until(model, img, label) for img in images])
+    seeds = tuple(mix_seed(cfg.init_seed, bi, ii) for ii in range(len(images)))
+    recons = invert_feature_map(model, label, maps, replace(cfg, init_seed=seeds))
+    return tuple(ssim(recon, img) for recon, img in zip(recons, images))
 
 
 def evaluate_privacy(model, images, cfg=AttackConfig(),

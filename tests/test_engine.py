@@ -347,7 +347,7 @@ def test_forward_releases_dead_activations_bitwise():
         assert all(a is None for a in acts[:n - 1] + acts[n:]), name
         kept = engine._run(m, x, n, range(-1, n), "output")
         assert np.array_equal(acts[n - 1], kept[n - 1]), name
-        assert np.array_equal(ts.forward(m, x), kept[n - 1]), name
+        assert np.array_equal(ts.forward(m, x), kept[n - 1][0]), name
 
     # the input is read again after layer 0, by a source and by a
     # map_source: its slot is dropped once that last reader has run
@@ -363,12 +363,12 @@ def test_forward_releases_dead_activations_bitwise():
         x = np.random.default_rng(8).standard_normal(m.input_shape)
         n = len(m.layers)
         kept = engine._run(m, x, n, range(-1, n), "output")
-        assert kept[-1] is x
+        assert kept[-1].base is x  # x itself, as a batch of one
         for upto in range(reader + 1, n + 1):
             acts = engine._run(m, x, upto, (), "output")
             assert acts[-1] is None, (reader, upto)
             assert np.array_equal(acts[upto - 1], kept[upto - 1]), (reader, upto)
-        assert np.array_equal(ts.forward(m, x), kept[n - 1]), reader
+        assert np.array_equal(ts.forward(m, x), kept[n - 1][0]), reader
 
 
 def test_warm_forward_peak_memory_is_bounded():
@@ -474,7 +474,7 @@ def test_warm_run_and_backward_rederive_nothing(monkeypatch, name, shape):
     m = ts.resolve_model(name, shape, seed=3)
     x = np.random.default_rng(2).uniform(0, 1, shape)
     n = len(m.layers)
-    cot = np.random.default_rng(3).standard_normal(m.output_shape)
+    cot = np.random.default_rng(3).standard_normal((1,) + m.output_shape)
 
     def gradient():
         acts = engine._run(m, x, n, engine._kept(m.schedule), "output")
@@ -525,8 +525,8 @@ def test_input_gradient_aliases_no_cotangent_or_activation():
         cot = rng.standard_normal(acts[b - 1].shape)
         gx = engine._bind_gradient(m, b, acts, cot, engine._Scratch(),
                                    engine._call)
-        assert gx.tobytes() == ts.input_gradient(m, "B", x, cot).tobytes(), b
-        assert gx.shape == m.input_shape
+        assert gx.tobytes() == ts.input_gradient(m, "B", x, cot[0]).tobytes(), b
+        assert gx.shape == (1,) + m.input_shape
         assert not np.shares_memory(gx, cot), b
         for act in acts:
             assert not np.shares_memory(gx, act), b
@@ -562,7 +562,7 @@ def test_arenas_match_public_api_bitwise_on_random_models():
         last = None
         for _ in range(4):
             x = rng.uniform(0.05, 0.95, m.input_shape)
-            ct = rng.standard_normal(arena.feat.shape)
+            ct = rng.standard_normal(arena.feat.shape[1:])
             np.copyto(arena.x, x)
             arena.run()
             assert arena.feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
@@ -573,6 +573,54 @@ def test_arenas_match_public_api_bitwise_on_random_models():
             assert g.tobytes() == ts.input_gradient(m, "Z", x, ct).tobytes()
             last = g, g.tobytes()
     assert kinds == ALL_KINDS, ALL_KINDS - kinds
+
+
+def test_batched_arenas_match_public_api_per_image_on_random_models():
+    # every kind, bound over a batch of three: each image's run and
+    # gradient equal forward_until and input_gradient on that image alone,
+    # so no image's bits depend on the others
+    rng = np.random.default_rng(78)
+    kinds = set()
+    for _ in range(40):
+        m = build_random_model(rng)
+        kinds.update(layer.kind for layer in m.layers)
+        arena = engine._arena(m, "Z", 3)
+        xs = rng.uniform(0.05, 0.95, (3,) + m.input_shape)
+        cts = rng.standard_normal(arena.feat.shape)
+        np.copyto(arena.x, xs)
+        arena.run()
+        np.copyto(arena.cot, cts)
+        g = arena.gradient()
+        for x, ct, feat, gx in zip(xs, cts, arena.feat, g):
+            assert feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
+            assert gx.tobytes() == ts.input_gradient(m, "Z", x, ct).tobytes()
+    assert kinds == ALL_KINDS, ALL_KINDS - kinds
+
+
+@pytest.mark.parametrize("h, n, per, rows", [(20, 5, 4, 20), (40, 3, 1, 40),
+                                           (48, 2, 1, 37)])
+def test_batched_conv_blocks_match_single_images(h, n, per, rows):
+    # 576 columns per output pixel: at 20x20 four whole images fill a
+    # block (blocks of 4 and 1), at 40x40 one does, and at 48x48 one image
+    # is split into blocks of 37 and 11 output rows; the backward's
+    # column gradients hold the same whole images
+    m = graph((64, h, h), [spec("c", ts.CONV, in_channels=64, out_channels=4,
+                                kernel=3, stride=1, padding=1, seed=1),
+                           spec("r", ts.RELU), spec("s", ts.SIGMOID)],
+              [("Z", 2)])
+    st = m.schedule[0]
+    assert (max(1, st.rows // h), min(st.rows, h)) == (per, rows)
+    rng = np.random.default_rng(17)
+    arena = engine._arena(m, "Z", n)
+    xs = rng.uniform(0.05, 0.95, (n,) + m.input_shape)
+    cts = rng.standard_normal(arena.feat.shape)
+    np.copyto(arena.x, xs)
+    arena.run()
+    np.copyto(arena.cot, cts)
+    g = arena.gradient()
+    for x, ct, feat, gx in zip(xs, cts, arena.feat, g):
+        assert feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
+        assert gx.tobytes() == ts.input_gradient(m, "Z", x, ct).tobytes()
 
 
 def test_split_halves_share_weights_bitwise(toy4):
@@ -699,7 +747,7 @@ def test_arenas_allocate_each_transient_bordered_shape_once():
     rng = np.random.default_rng(15)
     for _ in range(2):
         x = rng.uniform(0.05, 0.95, m.input_shape)
-        ct = rng.standard_normal(arena.feat.shape)
+        ct = rng.standard_normal(arena.feat.shape[1:])
         np.copyto(arena.x, x)
         arena.run()
         assert arena.feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
@@ -719,7 +767,8 @@ def test_padded_read_of_the_input_fills_no_border(toy4):
     assert f is np.copyto and src is arena.x
     np.copyto(arena.x, np.random.default_rng(4).uniform(0, 1, toy4.input_shape))
     arena.run()
-    assert np.array_equal(inner.base, np.pad(arena.x, ((0, 0), (1, 1), (1, 1))))
+    assert np.array_equal(inner.base,
+                          np.pad(arena.x, ((0, 0), (0, 0), (1, 1), (1, 1))))
 
 
 def test_col2im_planes_are_zeroed_once(toy4):
@@ -740,7 +789,7 @@ def test_col2im_planes_are_zeroed_once(toy4):
     rng = np.random.default_rng(16)
     for _ in range(2):
         x = rng.uniform(0.05, 0.95, m.input_shape)
-        ct = rng.standard_normal(arena.feat.shape)
+        ct = rng.standard_normal(arena.feat.shape[1:])
         np.copyto(arena.x, x)
         arena.run()
         np.copyto(arena.cot, ct)
@@ -764,7 +813,7 @@ def test_arena_checks_raise_the_public_passes_errors():
     m = graph((2, 3, 3), layers, [("B", 2)])
     arena = engine._arena(m, "B")
     x = np.full(m.input_shape, 0.5)
-    ct = np.ones(arena.feat.shape)
+    ct = np.ones(arena.feat.shape[1:])
 
     def run(x):
         np.copyto(arena.x, x)

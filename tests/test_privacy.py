@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,20 @@ def test_select_never_returns_score_above_threshold():
             for i in range(n):
                 ok = vals[i] <= t and all(v <= t + slack for v in vals[i:])
                 assert not ok
+
+
+@pytest.mark.parametrize("threshold, slack", [
+    pytest.param(threshold, slack, id=name) for threshold, slack, name in [
+        ("0.2", 0.05, "str-threshold"), (None, 0.05, "None-threshold"),
+        (0.2, "0.05", "str-slack"), (0.2, None, "None-slack"),
+        (np.array([0.2, 0.3]), 0.05, "array-threshold")]])
+def test_rule_rejects_values_that_are_not_numbers(threshold, slack):
+    with pytest.raises(ts.PrivacyError):
+        ts.select_optimal_partition(labeled([0.1]), threshold, slack)
+    m = ts.build_toy_cnn(points=3, input_shape=(1, 16, 16), seed=2)
+    with pytest.raises(ts.PrivacyError):
+        ts.evaluate_privacy(m, smooth_images(1, (1, 16, 16), seed=1),
+                            ts.AttackConfig(steps=5), threshold, slack)
 
 
 def test_select_validates_inputs():
@@ -273,7 +289,8 @@ def test_inversion_refusing_after_accepted_steps_matches_oracle(which,
                  id=f"{steps}-{step_size}")
     for steps, step_size in [
         (0, 0.05), (-3, 0.05), (2.5, 0.05), (True, 0.05),
-        (5, 0.0), (5, -1.0), (5, float("nan")), (5, float("inf"))]
+        (5, 0.0), (5, -1.0), (5, float("nan")), (5, float("inf")),
+        (5, "0.1"), (5, None)]
 ] + [
     pytest.param(dict(pixel_bounds=bounds),
                  id=f"bounds={bounds}".replace(" ", ""))
@@ -294,6 +311,176 @@ def test_inversion_rejects_bad_attack_settings(fields, monkeypatch):
     monkeypatch.setattr(engine, "_arena", no_work)
     with pytest.raises(ts.PrivacyError):
         ts.invert_feature_map(m, "A", np.zeros(m.layers[0].output_shape), cfg)
+
+
+@pytest.mark.parametrize("seeds", [
+    pytest.param(seeds, id=f"seeds={seeds}".replace(" ", ""))
+    for seeds in [(1, 2), (1, 2, 3, 4), (1, -1, 2), (1, True, 2), (1, 2.0, 3),
+                  (1, None, 3), 5, "123", None]
+])
+def test_stacked_inversion_rejects_bad_seeds(seeds, monkeypatch):
+    # a stack of three maps needs three integer seeds >= 0, checked before
+    # the prefix is bound
+    m = shallow_wide_model()
+
+    def no_work(*args):
+        raise AssertionError("the attack bound its prefix before checking")
+
+    monkeypatch.setattr(engine, "_arena", no_work)
+    maps = np.zeros((3,) + m.layers[0].output_shape)
+    with pytest.raises(ts.PrivacyError):
+        ts.invert_feature_map(m, "A", maps, ts.AttackConfig(init_seed=seeds))
+    # and a single map takes one integer seed, not a tuple
+    with pytest.raises(ts.PrivacyError):
+        ts.invert_feature_map(m, "A", maps[0], ts.AttackConfig(init_seed=(1,)))
+
+
+def pushing_run(monkeypatch, limits, push):
+    """Replace ``engine._Arena.run``: once row r of an arena has run on
+    ``limits[r]`` distinct inputs, every new input it runs on gets its
+    boundary activation raised by ``push``. The rule reads only a row's own
+    inputs, which a stack's row and a single map's attack see in the same
+    order (a row re-run on an input it ran before is treated as before), so
+    stacked and single attacks meet it alike. Returns a function that
+    starts the count over with new limits."""
+    arena_run = engine._Arena.run
+    state = {"limits": limits, "seen": {}}
+
+    def run(arena):
+        arena_run(arena)
+        for r, (x, feat) in enumerate(zip(arena.x, arena.feat)):
+            seen = state["seen"].setdefault(r, [])
+            if x.tobytes() not in seen:
+                seen.append(x.tobytes())
+            if seen.index(x.tobytes()) >= state["limits"][r]:
+                feat += push
+
+    def reset(limits):
+        state["limits"], state["seen"] = limits, {}
+
+    monkeypatch.setattr(engine._Arena, "run", run)
+    return reset
+
+
+def run_stack_and_singles(m, label, maps, cfg, reset=None, limits=None):
+    """The stacked attack's result and summed losses, and each map's single
+    attack's result and losses, seeded ``cfg.init_seed[i]``."""
+    got = []
+    if reset:
+        reset(limits)
+    stack = ts.invert_feature_map(m, label, maps, cfg,
+                                  on_step=lambda s, l: got.append((s, l)))
+    singles = []
+    for i, (f, seed) in enumerate(zip(maps, cfg.init_seed)):
+        if reset:
+            reset([limits[i]])
+        losses = []
+        r = ts.invert_feature_map(m, label, f, replace(cfg, init_seed=seed),
+                                  on_step=lambda s, l: losses.append(l))
+        singles.append((r, losses))
+    return stack, got, singles
+
+
+def assert_stack_matches_singles(stack, got, singles):
+    assert stack.shape == (len(singles),) + singles[0][0].shape
+    for row, (r, _) in zip(stack, singles):
+        assert row.tobytes() == r.tobytes()
+    # the stack steps until its last map stops; a stopped map adds its
+    # last loss, and the sum runs left to right in map order
+    longest = max(len(losses) for _, losses in singles)
+    want = [(t, sum(losses[min(t, len(losses)) - 1] for _, losses in singles))
+            for t in range(1, longest + 1)]
+    assert got == want
+
+
+@pytest.mark.parametrize("which", ["toy4", "wide"])
+def test_stacked_inversion_matches_single_runs(which):
+    m = (ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+         if which == "toy4" else shallow_wide_model())
+    images = smooth_images(3, m.input_shape, seed=14)
+    # a large first step halves a different number of times per map, so
+    # line-search rounds run with some rows settled; below the 1e-14 floor
+    # no map ever moves and all stop together after 20 stale steps
+    for label in m.labels():
+        maps = np.stack([ts.forward_until(m, x, label) for x in images])
+        for steps, step_size in [(25, 2.0), (12, 0.05), (30, 1e-15)]:
+            cfg = ts.AttackConfig(steps=steps, step_size=step_size,
+                                  init_seed=(5, 0, 17))
+            stack, got, singles = run_stack_and_singles(m, label, maps, cfg)
+            assert_stack_matches_singles(stack, got, singles)
+            if step_size == 2.0:
+                assert len({len(l) for _, l in singles}) == 1  # all ran on
+
+
+@pytest.mark.parametrize("which", ["toy4", "wide"])
+def test_stacked_inversion_stops_each_map_on_its_own(which, monkeypatch):
+    # map 1's feature maps are pushed far from its target from its 5th
+    # distinct input on: after a few accepted steps it refuses every
+    # candidate, halves its step to the floor and stops 20 steps later,
+    # while maps 0 and 2 run all 40 steps
+    m = (ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+         if which == "toy4" else shallow_wide_model())
+    images = smooth_images(3, m.input_shape, seed=15)
+    reset = pushing_run(monkeypatch, [np.inf] * 3, 1e3)
+    limits = [np.inf, 5, np.inf]
+    for label in m.labels():
+        maps = np.stack([ts.forward_until(m, x, label) for x in images])
+        cfg = ts.AttackConfig(steps=40, step_size=0.5, init_seed=(3, 8, 1))
+        stack, got, singles = run_stack_and_singles(m, label, maps, cfg,
+                                                    reset, limits)
+        lengths = [len(losses) for _, losses in singles]
+        assert lengths[0] == lengths[2] == 40 and 20 < lengths[1] < 40, (
+            label, lengths)
+        assert_stack_matches_singles(stack, got, singles)
+
+
+def test_stacked_inversion_names_the_diverging_map(monkeypatch):
+    # map 2's feature maps overflow the loss from its 4th distinct input on
+    m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+    images = smooth_images(3, m.input_shape, seed=16)
+    reset = pushing_run(monkeypatch, [np.inf, np.inf, 3], 1e200)
+    maps = np.stack([ts.forward_until(m, x, "L2") for x in images])
+    cfg = ts.AttackConfig(steps=30, step_size=0.05, init_seed=(0, 1, 2))
+    with pytest.raises(ts.InversionDivergenceError) as stacked:
+        ts.invert_feature_map(m, "L2", maps, cfg)
+    reset([3])
+    with pytest.raises(ts.InversionDivergenceError) as single:
+        ts.invert_feature_map(m, "L2", maps[2], replace(cfg, init_seed=2))
+    assert stacked.value.image == 2 and single.value.image == 0
+    assert stacked.value.step == single.value.step > 0
+    assert "image 2" in str(stacked.value)
+    # a map whose start already overflows is named at step 0
+    maps[1] = 1e200
+    reset([np.inf] * 3)
+    with pytest.raises(ts.InversionDivergenceError) as start:
+        ts.invert_feature_map(m, "L2", maps, cfg)
+    assert (start.value.step, start.value.image) == (0, 1)
+
+
+def test_evaluate_privacy_attacks_each_boundary_in_one_call(monkeypatch):
+    # the call contract the benchmark's inversion timer relies on:
+    # evaluate_privacy reaches invert_feature_map through the privacy
+    # module's global, once per boundary, with four positional arguments,
+    # the images' maps stacked and one mix_seed per image
+    m = ts.build_toy_cnn(points=3, input_shape=(1, 16, 16), seed=2)
+    images = smooth_images(3, (1, 16, 16), seed=4)
+    cfg = ts.AttackConfig(steps=5, init_seed=6)
+    inner, calls = ts.privacy.invert_feature_map, []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ts.privacy, "invert_feature_map", recorded)
+    rep = ts.evaluate_privacy(m, images, cfg)
+    assert len(calls) == len(m.partition_points)
+    for bi, ((model, label, maps, sub), kwargs) in enumerate(calls):
+        assert kwargs == {} and model is m and label == m.labels()[bi]
+        assert maps.shape == (3,) + m.layers[m.boundary_of(label) - 1].output_shape
+        assert sub == replace(cfg, init_seed=tuple(
+            ts.mix_seed(6, bi, ii) for ii in range(3)))
+    monkeypatch.setattr(ts.privacy, "invert_feature_map", inner)
+    assert ts.evaluate_privacy(m, images, cfg) == rep
 
 
 def test_inversion_rejects_wrong_target_shape():

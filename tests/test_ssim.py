@@ -128,7 +128,8 @@ def test_out_of_range_images_rejected():
 
 
 @pytest.mark.parametrize("field", ["sigma", "k1", "k2", "dynamic_range"])
-@pytest.mark.parametrize("value", [0.0, -1.5, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [0.0, -1.5, np.nan, np.inf, -np.inf, "1",
+                                   None])
 def test_nonpositive_or_nonfinite_params_rejected(field, value):
     a = np.full((1, 16, 16), 0.5)
     with pytest.raises(ts.PrivacyError, match=field):
@@ -136,3 +137,15 @@ def test_nonpositive_or_nonfinite_params_rejected(field, value):
     if field == "sigma":
         with pytest.raises(ts.PrivacyError, match="sigma"):
             ts.gaussian_window(11, value)
+
+
+@pytest.mark.parametrize("size", [
+    pytest.param(size, id=f"window_size={size!r}")
+    for size in ["11", 11.0, True, None, 4, 1, -3, 2 ** 70 + 1]])
+def test_bad_window_sizes_rejected(size):
+    a = np.full((1, 16, 16), 0.5)
+    with pytest.raises(ts.PrivacyError, match="window size"):
+        ts.ssim(a, a, ts.SsimParams(window_size=size))
+    if size != 2 ** 70 + 1:  # a window that large is never built
+        with pytest.raises(ts.PrivacyError, match="window size"):
+            ts.gaussian_window(size, 1.5)
