@@ -151,6 +151,18 @@ def ssim(a, b, params=SsimParams()):
     return float(np.mean(num / den))
 
 
+# activations one attack arena may bind: a stack whose prefix activations
+# exceed it is attacked in consecutive arenas of as many whole maps as fit
+_ARENA_BYTES = 64 << 20
+
+
+def _activation_bytes(model, b):
+    """Bytes of one image's input and layer outputs up to layer ``b``: its
+    share of an arena's activations, before pooling."""
+    return 8 * (math.prod(model.input_shape) + sum(
+        math.prod(layer.output_shape) for layer in model.layers[:b]))
+
+
 def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
                        on_step=None):
     """Reconstruct a plausible input whose boundary activation matches the
@@ -158,16 +170,18 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
 
     ``exposed`` is one map, or a stack of N maps on a new leading axis with
     ``cfg.init_seed`` a tuple of N seeds; the result has the same leading
-    shape. A stack's maps are attacked together, over one bound prefix,
-    and each map's reconstruction is bitwise the one a call with that map
-    and its seed alone returns. Deterministic given the config seed.
-    ``on_step(step, loss)`` is invoked after every iteration when provided,
-    inside the attack's ``np.errstate(over="ignore", invalid="ignore")``,
-    until every map's attack has stopped; for a stack, ``loss`` is the
-    maps' losses summed in stack order, a stopped map's last one included.
-    Raises PrivacyError for a malformed config, before any work, and
-    InversionDivergenceError, naming the step and the map's index, if a
-    loss turns non-finite.
+    shape. A stack's maps are attacked together, over one bound prefix of
+    as many whole maps as ``_ARENA_BYTES`` holds (at least one; the arenas
+    run one after another), and each map's reconstruction is bitwise the
+    one a call with that map and its seed alone returns. Deterministic
+    given the config seed. Once every map's attack has stopped,
+    ``on_step(step, loss)`` is invoked for each step taken when provided,
+    inside the attack's ``np.errstate(over="ignore", invalid="ignore")``;
+    for a stack, ``loss`` is the maps' losses summed in stack order, a
+    stopped map's last one included. Raises PrivacyError for a malformed
+    config, before any work, and InversionDivergenceError, naming the step
+    and the map's index, if a loss turns non-finite (in a stack of several
+    arenas, the first arena's to diverge).
     """
     b = model.boundary_of(boundary_label)
     shape = model.layers[b - 1].output_shape
@@ -196,14 +210,38 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     if steps < 1 or not _holds(lambda v: 0 < v < np.inf, cfg.step_size):
         raise PrivacyError(f"attack needs integer steps >= 1 and a finite step "
                            f"size > 0, got {cfg.steps!r}, {cfg.step_size!r}")
+    per = max(1, _ARENA_BYTES // _activation_bytes(model, b))
+    x = np.empty((n,) + model.input_shape)
+    # overflow in the attack is the divergence signal, not an anomaly: every
+    # non-finite loss, activation or gradient raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each arena's maps' losses after each of its steps
+        runs = [_descend(model, boundary_label, target[i:i + per],
+                         seeds[i:i + per], x[i:i + per], cfg, steps, i)
+                for i in range(0, n, per)]
+        if on_step is not None:
+            for step in range(1, max(map(len, runs)) + 1):
+                on_step(step, sum(loss for run in runs
+                                  for loss in run[min(step, len(run)) - 1]))
+    return x if stacked else x[0]
+
+
+def _descend(model, boundary_label, target, seeds, x, cfg, steps, first):
+    """The attack on the maps ``target``, from the seeds ``seeds``, over one
+    arena, its accepted points written into ``x``; the first map is image
+    ``first`` of the caller's stack. Returns the maps' losses after each
+    step taken."""
+    n = len(target)
+    # a -0.0 bound becomes +0.0, so neither a start (lo + range * u) nor a
+    # clipped pixel is ever -0.0, and x - d is -0.0 only when x is
+    lo, hi = (bound + 0.0 for bound in cfg.pixel_bounds)
+    for row, seed in zip(x, seeds):
+        row[...] = np.random.default_rng(seed).uniform(lo, hi, row.shape)
     # the prefix bound once over all n maps; the accepted points x live
     # outside it, and each candidate is written into its row of the arena's
-    # input and run there. A row nobody writes keeps its input, so a re-run
-    # gives it the same activations, residual and loss
+    # input and run there. A row not searching gets its x again, so a
+    # re-run gives it the same activations, residual and loss
     arena = engine._arena(model, boundary_label, n)
-    rng = np.random.default_rng
-    starts = [rng(s).uniform(lo, hi, (1,) + model.input_shape) for s in seeds]
-    x = starts[0] if n == 1 else np.concatenate(starts)  # one map: no copy
     np.copyto(arena.x, x)
     # diff holds feat - target of the last run, whose square sq sums, row by
     # row, to each map's loss
@@ -211,72 +249,64 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     rows = sq.reshape(n, -1)
 
     def losses_of(step):
-        # a row not searching re-runs the input of its last finite loss
+        # a row not searching re-runs its accepted point
         arena.run()
         np.subtract(arena.feat, target, out=diff)
         np.square(diff, out=sq)
         got = np.add.reduce(rows, axis=1).tolist()
         for i, value in enumerate(got):
             if not math.isfinite(value):
-                raise InversionDivergenceError(step, i)
+                raise InversionDivergenceError(step, first + i)
         return got
 
-    # a per-map value as an array broadcasting over an input or a map
-    per_x = (n,) + (1,) * len(model.input_shape)
-    per_map = (n,) + (1,) * len(shape)
-
-    def mask(which, per):
-        m = np.zeros(per, bool)
-        m[which] = True
-        return m
-
-    # overflow in the attack is the divergence signal, not an anomaly: every
-    # non-finite loss, activation or gradient raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss = losses_of(0)
-        sizes = [cfg.step_size] * n  # each map's step size
-        stale = [0] * n  # steps taken since the last accepted one
-        for step in range(1, steps + 1):
-            # the arena holds the accepted point's activations, and diff its
-            # residual, in each row at step 1 and after an accepted step. A
-            # step is refused only once the map's step size is at the floor,
-            # where it stays, so no later step moves its x, runs a
-            # candidate or needs a new gradient: a map that has stopped
-            # after 20 stale steps is left as it is while the others go on
-            need = [i for i in range(n) if stale[i] == 0]
-            if need:
-                # a zero cotangent on the other rows, maps at the floor,
-                # whose gradients are never read again
-                np.multiply(diff, 2.0 if len(need) == n
-                            else 2.0 * mask(need, per_map), out=arena.cot)
-                grad = arena.gradient()
-            stale = [k + 1 for k in stale]
-            search = [i for i in range(n) if sizes[i] > 1e-14]
-            while search:
-                # arena.x = clip(x - step size * grad) on the searching rows
-                rows_of = ({} if len(search) == n
-                           else {"where": mask(search, per_x)})
-                np.multiply(grad, np.reshape(sizes, per_x), out=arena.x,
-                            **rows_of)
-                np.subtract(x, arena.x, out=arena.x, **rows_of)
-                arena.x.clip(lo, hi, out=arena.x, **rows_of)
-                cand = losses_of(step)
-                took = [i for i in search if cand[i] <= loss[i]]
-                if len(took) == n:
-                    np.copyto(x, arena.x)
-                elif took:
-                    np.copyto(x, arena.x, where=mask(took, per_x))
-                for i in took:
-                    loss[i], stale[i] = cand[i], 0
-                search = [i for i in search if stale[i]]
-                for i in search:
-                    sizes[i] *= 0.5
-                search = [i for i in search if sizes[i] > 1e-14]
-            if on_step is not None:
-                on_step(step, sum(loss))
-            if min(stale) >= 20:
+    per_x = (n,) + (1,) * (x.ndim - 1)  # a per-map value over an input
+    loss = losses_of(0)
+    sizes = [cfg.step_size] * n  # each map's step size
+    stale = [0] * n  # steps taken since the last accepted one
+    history, refused = [], []
+    for step in range(1, steps + 1):
+        # a step is refused only once the map's step size is at the floor,
+        # where it stays, so no later step moves its x or runs a candidate:
+        # a map that has stopped after 20 stale steps is left as it is while
+        # the others go on. A gradient is taken when a map's x has moved
+        # (and at step 1), over every row's accepted point: its input,
+        # activations and residual. A row at the floor gets the gradient it
+        # got when its x was accepted, finite then, and never reads it
+        if 0 in stale:
+            if refused:  # their rows last ran refused candidates
+                np.copyto(arena.x, x)
+                losses_of(step)
+            np.multiply(diff, 2.0, out=arena.cot)
+            grad = arena.gradient()
+        stale = [k + 1 for k in stale]
+        refused = []
+        while True:
+            moving = [size if k and size > 1e-14 else 0.0
+                      for size, k in zip(sizes, stale)]
+            if not any(moving):
                 break
-    return x if stacked else x[0]
+            # arena.x = clip(x - step size * grad); a row not searching
+            # moves by a step of 0, which leaves its x as it is, bit for
+            # bit: the finite grad * 0 is +-0.0, and x holds no -0.0, the
+            # one value that subtracting -0.0 or clipping would change
+            np.multiply(grad, np.reshape(moving, per_x), out=arena.x)
+            np.subtract(x, arena.x, out=arena.x)
+            arena.x.clip(lo, hi, out=arena.x)
+            cand = losses_of(step)
+            for i, size in enumerate(moving):
+                if not size:
+                    continue
+                if cand[i] <= loss[i]:
+                    x[i] = arena.x[i]
+                    loss[i], stale[i] = cand[i], 0
+                else:
+                    sizes[i] *= 0.5
+                    if sizes[i] <= 1e-14:
+                        refused.append(i)
+        history.append(list(loss))
+        if min(stale) >= 20:
+            break
+    return history
 
 
 def feasible_boundaries(values, threshold, slack):
@@ -319,8 +349,11 @@ def score_boundary(model, bi, images, cfg):
     if not images:
         raise PrivacyError("need at least one image")
     label = model.partition_points[bi][0]
+    maps = np.empty((len(images),)
+                    + model.layers[model.boundary_of(label) - 1].output_shape)
     # module-global lookups, so a wrapper set on this module sees each call
-    maps = np.stack([engine.forward_until(model, img, label) for img in images])
+    for row, img in zip(maps, images):
+        row[...] = engine.forward_until(model, img, label)
     seeds = tuple(mix_seed(cfg.init_seed, bi, ii) for ii in range(len(images)))
     recons = invert_feature_map(model, label, maps, replace(cfg, init_seed=seeds))
     return tuple(ssim(recon, img) for recon, img in zip(recons, images))

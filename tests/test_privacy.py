@@ -336,29 +336,48 @@ def test_stacked_inversion_rejects_bad_seeds(seeds, monkeypatch):
 
 
 def pushing_run(monkeypatch, limits, push):
-    """Replace ``engine._Arena.run``: once row r of an arena has run on
+    """Replace ``engine._Arena.run``: once map r of a stack has run on
     ``limits[r]`` distinct inputs, every new input it runs on gets its
-    boundary activation raised by ``push``. The rule reads only a row's own
-    inputs, which a stack's row and a single map's attack see in the same
-    order (a row re-run on an input it ran before is treated as before), so
-    stacked and single attacks meet it alike. Returns a function that
-    starts the count over with new limits."""
-    arena_run = engine._Arena.run
-    state = {"limits": limits, "seen": {}}
+    boundary activation raised by ``push``. A stack's maps are its arenas'
+    rows counted in the order the arenas first run. The rule reads only a
+    map's own inputs, which a stack's row and a single map's attack see in
+    the same order (a row re-run on an input it ran before is treated as
+    before), so stacked and single attacks meet it alike. And
+    ``engine._Arena.gradient`` raises, as for a non-finite gradient,
+    whenever a row's last run was pushed, whatever its cotangent. Returns a
+    function that starts the count over with new limits."""
+    arena_run, arena_gradient = engine._Arena.run, engine._Arena.gradient
+    state = {"limits": limits, "seen": {}, "arenas": []}
 
     def run(arena):
         arena_run(arena)
-        for r, (x, feat) in enumerate(zip(arena.x, arena.feat)):
+        if not any(a is arena for a in state["arenas"]):
+            state["arenas"].append(arena)
+        first = 0
+        for a in state["arenas"]:
+            if a is arena:
+                break
+            first += len(a.x)
+        pushed = []
+        for r, (x, feat) in enumerate(zip(arena.x, arena.feat), first):
             seen = state["seen"].setdefault(r, [])
             if x.tobytes() not in seen:
                 seen.append(x.tobytes())
-            if seen.index(x.tobytes()) >= state["limits"][r]:
+            pushed.append(seen.index(x.tobytes()) >= state["limits"][r])
+            if pushed[-1]:
                 feat += push
+        arena.pushed = pushed
+
+    def gradient(arena):
+        if any(arena.pushed):
+            raise engine.EngineError("non-finite gradient")
+        return arena_gradient(arena)
 
     def reset(limits):
-        state["limits"], state["seen"] = limits, {}
+        state.update(limits=limits, seen={}, arenas=[])
 
     monkeypatch.setattr(engine._Arena, "run", run)
+    monkeypatch.setattr(engine._Arena, "gradient", gradient)
     return reset
 
 
@@ -412,25 +431,48 @@ def test_stacked_inversion_matches_single_runs(which):
                 assert len({len(l) for _, l in singles}) == 1  # all ran on
 
 
+def test_stacked_inversion_with_a_negative_zero_bound():
+    # a stack steps its settled rows by 0 * grad, which keeps x bit for bit
+    # only while x holds no -0.0: a -0.0 pixel bound is read as +0.0, so
+    # pixels clipped to it are +0.0, alone and in a stack
+    m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+    images = smooth_images(3, m.input_shape, seed=18)
+    for bounds in [(-0.0, 1.0), (-1.0, -0.0)]:
+        maps = np.stack([ts.forward_until(m, x - 0.5 - 0.5 * (bounds[1] == 0),
+                                          "L2") for x in images])
+        cfg = ts.AttackConfig(steps=25, step_size=2.0, init_seed=(5, 0, 17),
+                              pixel_bounds=bounds)
+        stack, got, singles = run_stack_and_singles(m, "L2", maps, cfg)
+        assert_stack_matches_singles(stack, got, singles)
+        zeros = stack[stack == 0.0]
+        assert zeros.size and not np.signbit(zeros).any(), bounds
+
+
 @pytest.mark.parametrize("which", ["toy4", "wide"])
-def test_stacked_inversion_stops_each_map_on_its_own(which, monkeypatch):
-    # map 1's feature maps are pushed far from its target from its 5th
-    # distinct input on: after a few accepted steps it refuses every
-    # candidate, halves its step to the floor and stops 20 steps later,
-    # while maps 0 and 2 run all 40 steps
+@pytest.mark.parametrize("limits", [[np.inf, 5, np.inf], [4, 9, 6]])
+def test_stacked_inversion_stops_each_map_on_its_own(which, limits,
+                                                     monkeypatch):
+    # a map whose limit is finite has its feature maps pushed far from its
+    # target from its limit-th distinct input on: after a few accepted
+    # steps it refuses every candidate, halves its step to the floor and
+    # stops 20 steps later, while the others run all 40 steps (maps 0 and
+    # 2) or stop after their own last accepted step. A backward over a row
+    # whose last run was pushed is also non-finite, as when a candidate
+    # overflows inside the prefix but not at the boundary: a map at the
+    # floor takes no gradient, so its single attack never meets that, and
+    # neither may the stack's
     m = (ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
          if which == "toy4" else shallow_wide_model())
     images = smooth_images(3, m.input_shape, seed=15)
     reset = pushing_run(monkeypatch, [np.inf] * 3, 1e3)
-    limits = [np.inf, 5, np.inf]
     for label in m.labels():
         maps = np.stack([ts.forward_until(m, x, label) for x in images])
         cfg = ts.AttackConfig(steps=40, step_size=0.5, init_seed=(3, 8, 1))
         stack, got, singles = run_stack_and_singles(m, label, maps, cfg,
                                                     reset, limits)
         lengths = [len(losses) for _, losses in singles]
-        assert lengths[0] == lengths[2] == 40 and 20 < lengths[1] < 40, (
-            label, lengths)
+        assert all(k == 40 if lim == np.inf else 20 < k < 40
+                   for k, lim in zip(lengths, limits)), (label, lengths)
         assert_stack_matches_singles(stack, got, singles)
 
 
@@ -455,6 +497,44 @@ def test_stacked_inversion_names_the_diverging_map(monkeypatch):
     with pytest.raises(ts.InversionDivergenceError) as start:
         ts.invert_feature_map(m, "L2", maps, cfg)
     assert (start.value.step, start.value.image) == (0, 1)
+
+
+def test_stack_larger_than_one_arena_runs_arenas_in_turn(monkeypatch):
+    # with room for two maps' activations per arena, five maps bind arenas
+    # of 2, 2 and 1 rows, one after another; results and summed losses are
+    # the single runs', with map 1 stopping early, and a divergence in the
+    # second arena names its map's index in the whole stack
+    m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+    images = smooth_images(5, m.input_shape, seed=17)
+    bind, binds = engine._arena, []
+    monkeypatch.setattr(engine, "_arena", lambda *args: (
+        binds.append(args[2]), bind(*args))[1])
+    reset = pushing_run(monkeypatch, [np.inf] * 5, 1e3)
+    limits = [np.inf, 5, np.inf, np.inf, np.inf]
+    for label in m.labels():
+        monkeypatch.setattr(ts.privacy, "_ARENA_BYTES", 2 * (
+            ts.privacy._activation_bytes(m, m.boundary_of(label))) + 7)
+        maps = np.stack([ts.forward_until(m, x, label) for x in images])
+        cfg = ts.AttackConfig(steps=40, step_size=0.5,
+                              init_seed=(3, 8, 1, 0, 11))
+        binds.clear()
+        stack, got, singles = run_stack_and_singles(m, label, maps, cfg,
+                                                    reset, limits)
+        assert binds == [2, 2, 1] + [1] * 5, (label, binds)
+        lengths = [len(losses) for _, losses in singles]
+        assert lengths[1] < 40 and max(lengths) == 40, (label, lengths)
+        assert_stack_matches_singles(stack, got, singles)
+    # map 3's feature maps overflow the loss from its 4th distinct input on
+    reset([np.inf] * 5)
+    pushing_run(monkeypatch, [np.inf, np.inf, np.inf, 3, np.inf], 1e200)
+    maps = np.stack([ts.forward_until(m, x, "L2") for x in images])
+    monkeypatch.setattr(ts.privacy, "_ARENA_BYTES", 2 * (
+        ts.privacy._activation_bytes(m, m.boundary_of("L2"))) + 7)
+    steps = []
+    with pytest.raises(ts.InversionDivergenceError) as err:
+        ts.invert_feature_map(m, "L2", maps, cfg, lambda s, l: steps.append(s))
+    # the first arena ran all its steps; no step is reported
+    assert (err.value.image, steps) == (3, []) and err.value.step > 0
 
 
 def test_evaluate_privacy_attacks_each_boundary_in_one_call(monkeypatch):

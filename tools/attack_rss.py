@@ -12,10 +12,10 @@ compared by running it once per tree:
     PYTHONPATH=src python3 tools/attack_rss.py 2
 
 With one image it takes about 3.5 s and peaks near 482 MB on a 2-vCPU
-x86-64 host with one BLAS thread, and near 724 MB with two. The figure
-moves with how the engine stores and pools an inversion's arrays; a
-stack's activations grow with N, its column blocks (one image each at
-this size) do not.
+x86-64 host with one BLAS thread, near 488 MB with two and near 584 MB
+with twenty. The figure moves with how the engine stores and pools an
+inversion's arrays; at this size the attack binds one image at a time,
+so only the stack's inputs, targets and results grow with N.
 """
 
 from __future__ import annotations
@@ -45,7 +45,10 @@ def main(argv):
         ts.invert_feature_map(model, BOUNDARY, target, ts.AttackConfig(steps=3))
     else:
         xs = rng.uniform(0.0, 1.0, (n,) + model.input_shape)
-        targets = np.stack([ts.forward_until(model, x, BOUNDARY) for x in xs])
+        targets = np.empty((n,) + model.layers[
+            model.boundary_of(BOUNDARY) - 1].output_shape)
+        for target, x in zip(targets, xs):  # as score_boundary fills them
+            target[...] = ts.forward_until(model, x, BOUNDARY)
         ts.invert_feature_map(model, BOUNDARY, targets, ts.AttackConfig(
             steps=3, init_seed=tuple(range(n))))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
