@@ -6,8 +6,8 @@ graph input via reverse-mode accumulation. Convolution is lowered to im2col
 channel-major: the columns are a (C*k*k, OH*OW) matrix, one row per input
 channel and kernel offset, and the output is ``W @ cols`` with W viewed as
 (O, C*k*k), which is already the (O, OH, OW) layout. That product fixes the
-accumulation order, and depthwise convolution sums its k*k offsets in
-row-major order, so identical seeds and inputs reproduce bitwise identical
+accumulation order, and every k*k offset sum adds its offsets in row-major
+order (below), so identical seeds and inputs reproduce bitwise identical
 outputs, and running a split model's two halves back to back is bitwise
 identical to running the unsplit chain. "Bitwise" holds for one numpy, one
 OpenBLAS and one OpenBLAS kernel (``OPENBLAS_CORETYPE``): another kernel
@@ -30,13 +30,13 @@ output rows of one image (one row when a row alone is larger), each
 product written into its slice of the preallocated output. The backward's
 column gradients (``gcols``) are blocked by the same whole-image rule, so
 at 224 pixels, where one image fills a block, column memory does not grow
-with N; the activations, the depthwise and max-pool backward scratch and
-the elementwise temporaries do. The budget sits below glibc's 32 MB
-ceiling on its dynamic mmap threshold, so blocks are recycled from the
-heap instead of being page-faulted fresh on every call; a layer whose
-columns fit is a single block. Every pass drops each activation after the
-last layer that reads it, except the activations the backward reads, which
-``input_gradient`` and an ``_Arena`` keep.
+with N; the activations, the depthwise backward's products, the max-pool
+backward scratch and the elementwise temporaries do. The budget sits below
+glibc's 32 MB ceiling on its dynamic mmap threshold, so blocks are
+recycled from the heap instead of being page-faulted fresh on every call;
+a layer whose columns fit is a single block. Every pass drops each
+activation after the last layer that reads it, except the activations the
+backward reads, which ``input_gradient`` and an ``_Arena`` keep.
 
 Activations, and the gradients of the backward pass, are held the way
 layers reference them: one slot per layer, then the graph input, so a
@@ -45,16 +45,23 @@ nothing but those activations: max pooling and Swish read their input
 (Swish recomputes its sigmoid), ReLU and Sigmoid their output, and the
 channel gate both operands.
 
-The backward pass of conv, depthwise conv and average pooling is one
-``_bind_col2im``: each kernel offset's window gradients are placed on a
-zeroed padded plane of their own in a single strided assignment, and the
-k*k planes are summed offset by offset in row-major order from +0.0. The
-planes are built in blocks of whole channels, a batch's images' channels
-taken as one axis, of at most ``_PLANES_BLOCK_BYTES`` (1 MB; one channel
-when a channel alone is larger).
-They are zeroed once, when made, and shared only between layers whose
-placements write the same positions (``_bind_col2im``), so no op refills
-them.
+Every k*k offset sum follows one rule (``_offset_sum``): the k*k offset
+planes of a block of whole channels, at most ``_PLANES_BLOCK_BYTES`` (1 MB;
+one channel when a channel alone is larger), lie contiguously as (k*k, M),
+and one ``np.add.reduce`` over the first axis adds them plane after plane
+in row-major offset order from +0.0, with long inner loops however small
+the map. Depthwise convolution copies a block's windows into its planes,
+multiplies them in place by the weights as (k*k, C) and sums them into
+the output, three ops per block, then adds the bias; its blocks hold
+whole images when they fit. The backward of conv, depthwise conv and
+average pooling is one ``_bind_col2im``: each offset's window gradients
+are placed on a zeroed padded plane of their own in a single strided
+assignment, a block's whole padded planes are summed into a padded
+accumulator from the kernel scratch, and one copy crops it into the
+gradient; a sum from +0.0 is never -0.0, so the border's +0.0 terms change
+no bit. Its blocks take a batch's images' channels as one axis. Its planes
+are zeroed once, when made, and shared only between layers whose
+placements write the same positions, so no op refills them.
 
 Subgradient conventions at kinks: ReLU propagates zero at exactly zero;
 max pooling routes the gradient to the window argmax, ties broken toward
@@ -64,7 +71,8 @@ from the kept input and sums each pixel's terms in window order with one
 ``np.bincount`` over every image's channels.
 
 Weights are materialized lazily from each layer's seed (He-style fan-in
-scaling, zero biases) in the layout ``graph.weight_shapes`` gives, and cached
+scaling, zero biases) in the shapes ``graph.weight_shapes`` gives, a
+depthwise kernel (C, k, k) stored offset-major, and cached
 by ``graph.weight_key`` (kind, seed, init and those shapes), so the two
 halves of a split share the original layers' weights.
 
@@ -118,8 +126,9 @@ runs every candidate in it, keeps the accepted inputs outside it and
 drops it when the inversion returns. The arena takes its other
 arrays from one ``_Scratch``, sized by a probe binding over fresh arrays.
 Kernel scratch, the memory that lives only inside one call (column blocks,
-``gcols``, elementwise temporaries), is one buffer as large as the largest
-kernel's requests, and every kernel of the arena views it. Every other
+``gcols``, the depthwise planes, the col2im accumulators, elementwise
+temporaries), is one buffer as large as the largest kernel's requests,
+and every kernel of the arena views it. Every other
 array, an activation no backward reads, a gradient or a padded copy, comes
 from one pool keyed by (shape, border) and is handed back once its last
 reader has run, so a bordered array is reused with its border as it was
@@ -165,6 +174,12 @@ def _materialize(layer):
         w = np.zeros(shapes["w"])
         for ch in range(o):
             w[ch, ch, fan[1] // 2, fan[2] // 2] = 1.0
+    elif layer.kind == DWCONV:
+        # indexed (C, k, k) but stored offset-major, (k, k, C) in memory,
+        # the (k*k, C) layout the depthwise kernels read
+        w = np.multiply(rng.standard_normal(shapes["w"]),
+                        np.sqrt(2.0 / math.prod(fan)),
+                        out=np.empty(fan + [o]).transpose(2, 0, 1))
     else:
         w = rng.standard_normal(shapes["w"]) * np.sqrt(2.0 / math.prod(fan))
     return {"w": w, "b": np.zeros(shapes["b"])}
@@ -316,14 +331,29 @@ def _source_windows(st, acts, scratch):
                          st.fill, scratch, st.bordered)
 
 
+def _offset_sum(planes, out):
+    """The ops summing ``planes`` (k*k, ...) over their first axis, the
+    kernel offsets, into ``out`` in row-major offset order from +0.0: one
+    ``np.add.reduce``, which adds plane after plane, every element of
+    ``out`` at once. A reduction left with a single output element sums
+    its one axis pairwise (eight partial sums from eight terms on), so a
+    sum into one element adds plane by plane instead."""
+    if out.size > 1:
+        return [(partial(np.add.reduce, planes, axis=0, initial=0.0,
+                         out=out),)]
+    return [(out.fill, 0.0)] + [(np.add, out, plane, out) for plane in planes]
+
+
 def _bind_col2im(gwin, dst, s, pad, scratch):
     """The ops writing the adjoint of ``_bind_windows`` into ``dst``: window
     gradients (..., OH, OW, k, k) scatter-added onto the padded input,
     offset by offset in row-major order, and cropped. The leading axes, a
     batch's images and their channels, are taken as one channel axis, which
-    ``gwin`` and ``dst`` must each be able to view as one. Only the cropped
-    region of the planes is summed; a sum from +0.0 is never -0.0, so the
-    planes' extra +0.0 terms change no bit.
+    ``gwin`` and ``dst`` must each be able to view as one. Each block's
+    whole padded planes are summed (``_offset_sum``), into ``dst`` itself
+    at ``pad == 0``, else into a padded accumulator that one copy crops
+    into ``dst``; a sum from +0.0 is never -0.0, so the planes' extra +0.0
+    terms change no bit.
 
     The planes come zeroed from ``scratch.zeroed``, keyed by the stride and
     output extent, which fix the positions the place-copies write: every
@@ -334,22 +364,23 @@ def _bind_col2im(gwin, dst, s, pad, scratch):
     dst = np.reshape(dst, (-1,) + dst.shape[-2:], copy=False)
     c, h, w = dst.shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    cb = max(1, _PLANES_BLOCK_BYTES // (k * k * hp * wp * 8))
-    planes = scratch.zeroed((k, k, min(cb, c), hp, wp), (s, oh, ow))
-    p0, p1, p2, p3, p4 = planes.strides
+    cb = min(c, max(1, _PLANES_BLOCK_BYTES // (k * k * hp * wp * 8)))
+    planes = scratch.zeroed((k * k, cb, hp, wp), (s, oh, ow))
+    p0, p1, p2, p3 = planes.strides
+    acc = scratch((cb, hp, wp)) if pad else None
     ops = []
     for c0 in range(0, c, cb):
         n = min(cb, c - c0)
-        # window value (ch, y, x, i, j) lands on plane (i, j) at
+        # window value (ch, y, x, i, j) lands on plane i*k + j at
         # (ch, y*s + i, x*s + j); every block writes the same positions
         place = np.ndarray((n, oh, ow, k, k), planes.dtype, planes, 0,
-                           (p2, s * p3, s * p4, p0 + p3, p1 + p4))
-        # the k*k planes, cropped, as one axis: offset i*k + j is plane (i, j)
-        summed = np.ndarray((k * k, n, h, w), planes.dtype, planes,
-                            pad * (p3 + p4), (p1, p2, p3, p4))
-        ops += [(np.copyto, place, gwin[c0:c0 + n]),
-                (partial(np.add.reduce, summed, axis=0, initial=0.0,
-                         out=dst[c0:c0 + n]),)]
+                           (p1, s * p2, s * p3, k * p0 + p2, p0 + p3))
+        ops.append((np.copyto, place, gwin[c0:c0 + n]))
+        if pad:
+            ops += _offset_sum(planes[:, :n], acc[:n]) + [
+                (np.copyto, dst[c0:c0 + n], acc[:n, pad:pad + h, pad:pad + w])]
+        else:
+            ops += _offset_sum(planes[:, :n], dst[c0:c0 + n])
     return ops
 
 
@@ -413,17 +444,47 @@ def _conv_grad(st, g, acts, w, dsts, scratch):
 
 
 def _dwconv(st, acts, out, w, scratch):
+    """Per block of whole channels: the windows copied into the k*k offset
+    planes, the planes multiplied in place by the (k*k, C) weights, and one
+    ``_offset_sum`` into the output; then the bias. A block holds as many
+    whole images as fit in ``_PLANES_BLOCK_BYTES``, at least one, or, when
+    one image's planes do not fit, as many of its channels as do (at least
+    one). The planes are channel-major, (k*k, images, channels, OH, OW),
+    unless an output row is shorter than a 64-byte cache line (OW < 8):
+    the copy would then run row by row over a few elements, so they are
+    channel-last, (k*k, images, OH, OW, channels), summed into a
+    channel-last scratch that the bias add transposes into the output."""
     k = st.kernel
+    kk = k * k
+    c, oh, ow = st.out_shape
     win, ops = _source_windows(st, acts, scratch)
-    prod = scratch(out.shape)
-    ops.append((out.fill, 0.0))
-    # one (C, OH, OW) slab per kernel offset, in _bind_col2im's order
-    for i in range(k):
-        for j in range(k):
-            ops += [(np.multiply, win[..., i, j],
-                     w["w"][:, i, j, None, None], prod),
-                    (np.add, out, prod, out)]
-    ops.append((np.add, out, w["b"][:, None, None], out))
+    n, hw = len(out), oh * ow
+    wk = w["w"].transpose(1, 2, 0).reshape((kk, c), copy=False)
+    per = max(1, _PLANES_BLOCK_BYTES // (kk * hw * 8))
+    imgs, chans = (min(n, per // c), c) if per >= c else (1, per)
+    last = ow < 8
+    planes = scratch((kk, imgs * chans * hw))
+    sums = scratch((n, oh, ow, c)) if last else out
+    for n0 in range(0, n, imgs):
+        for c0 in range(0, c, chans):
+            m, cb = min(imgs, n - n0), min(chans, c - c0)
+            flat = planes[:, :m * cb * hw]
+            if last:
+                p = flat.reshape((kk, m, oh, ow, cb), copy=False)
+                place = p.transpose(1, 4, 2, 3, 0)
+                wv = wk[:, None, None, None, c0:c0 + cb]
+                o = sums[n0:n0 + m, :, :, c0:c0 + cb]
+            else:
+                p = flat.reshape((kk, m, cb, oh, ow), copy=False)
+                place = p.transpose(1, 2, 3, 4, 0)
+                wv = wk[:, None, c0:c0 + cb, None, None]
+                o = sums[n0:n0 + m, c0:c0 + cb]
+            # window (image, ch, y, x, i, j) lands on plane i*k + j
+            place = place.reshape((m, cb, oh, ow, k, k), copy=False)
+            ops += [(np.copyto, place, win[n0:n0 + m, c0:c0 + cb]),
+                    (np.multiply, p, wv, p)] + _offset_sum(p, o)
+    ops.append((np.add, sums.transpose(0, 3, 1, 2) if last else out,
+                w["b"][:, None, None], out))
     return out, ops
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .costs import full_enclave_breakdown, predict
-from .privacy import DEFAULT_SLACK, DEFAULT_THRESHOLD, feasible_boundaries
+from .privacy import (DEFAULT_SLACK, DEFAULT_THRESHOLD, PrivacyError,
+                      _check_rule, feasible_boundaries)
 from .tensors import csv_text
 
 
@@ -67,8 +68,10 @@ def _validated(req):
     if labels != [a.boundary_label for a in req.assignments]:
         raise PlanError("partition assignments do not match the scored "
                         "boundaries")
-    if not (req.threshold > 0 and req.slack >= 0):
-        raise PlanError("threshold must be positive and slack non-negative")
+    try:
+        _check_rule(req.threshold, req.slack)
+    except PrivacyError as exc:
+        raise PlanError(str(exc)) from None
     return labels
 
 

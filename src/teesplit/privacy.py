@@ -259,7 +259,9 @@ def _descend(model, boundary_label, target, seeds, x, cfg, steps, first):
                 raise InversionDivergenceError(step, first + i)
         return got
 
-    per_x = (n,) + (1,) * (x.ndim - 1)  # a per-map value over an input
+    # this round's step of each map, and the same values over an input
+    round_steps = np.empty(n)
+    per_x = round_steps.reshape((n,) + (1,) * (x.ndim - 1))
     loss = losses_of(0)
     sizes = [cfg.step_size] * n  # each map's step size
     stale = [0] * n  # steps taken since the last accepted one
@@ -289,7 +291,8 @@ def _descend(model, boundary_label, target, seeds, x, cfg, steps, first):
             # moves by a step of 0, which leaves its x as it is, bit for
             # bit: the finite grad * 0 is +-0.0, and x holds no -0.0, the
             # one value that subtracting -0.0 or clipping would change
-            np.multiply(grad, np.reshape(moving, per_x), out=arena.x)
+            round_steps[:] = moving
+            np.multiply(grad, per_x, out=arena.x)
             np.subtract(x, arena.x, out=arena.x)
             arena.x.clip(lo, hi, out=arena.x)
             cand = losses_of(step)

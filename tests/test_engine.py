@@ -123,8 +123,15 @@ def test_fc_forward_matches_matrix_math():
 CONV_CASES = [(2, 3, 5, 5, 3, 2, 1), (4, 5, 6, 6, 1, 1, 0),
               (4, 5, 7, 7, 1, 2, 0), (3, 4, 15, 15, 7, 2, 3),
               (3, 2, 6, 9, 3, 1, 1), (16, 2, 90, 90, 3, 1, 1)]
-# (channels, H, W, kernel, stride, padding)
-DWCONV_CASES = [(3, 4, 4, 3, 1, 1), (3, 9, 7, 5, 2, 2)]
+# (channels, H, W, kernel, stride, padding): the planes are channel-last
+# below 8 output columns and channel-major from 8 on. A 1x1 output of one
+# channel is a single sum; 5 channels give a 2x2 output; stride 2 with
+# padding 2 on each side; 110 channels at 7x7 fill a planes block of 106
+# channels and a partial one of 4, and 8 channels at 64x64 blocks of 3, 3
+# and 2
+DWCONV_CASES = [(3, 4, 4, 3, 1, 1), (3, 9, 7, 5, 2, 2), (1, 3, 3, 3, 1, 0),
+                (5, 4, 4, 3, 1, 0), (2, 20, 18, 5, 2, 2), (110, 7, 7, 5, 1, 2),
+                (8, 64, 64, 3, 1, 1)]
 
 
 def conv_layer(case, seed):
@@ -179,6 +186,58 @@ def test_dwconv_forward_matches_loop_oracle():
         got = ts.forward(m, x)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12), case
         assert got.flags.c_contiguous and not np.shares_memory(got, x), case
+
+
+def dwconv_oracle(x, w, b, k, s, pad):
+    """The depthwise forward as a loop over the kernel offsets: one
+    (C, OH, OW) product per offset added to a sum from +0.0 in row-major
+    offset order, then the bias."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    out = np.zeros(win.shape[:3])
+    for i in range(k):
+        for j in range(k):
+            out += win[..., i, j] * w[:, i, j, None, None]
+    return out + b[:, None, None]
+
+
+def test_dwconv_forward_matches_offset_loop_bitwise():
+    blocks = set()
+    for n, case in enumerate(DWCONV_CASES):
+        c, h, w_, k, s, pad = case
+        oh, ow = (h + 2 * pad - k) // s + 1, (w_ + 2 * pad - k) // s + 1
+        per = engine._PLANES_BLOCK_BYTES // (k * k * oh * ow * 8)
+        blocks.add((ow < 8, oh * ow, c, per))  # channel-last, as the engine
+        shape, layer = dwconv_layer(case, 40 + n)
+        m = graph(shape, [layer])
+        x = np.random.default_rng(50 + n).standard_normal(shape)
+        w = ts.layer_weights(m.layers[0])
+        want = dwconv_oracle(x, w["w"], w["b"], k, s, pad)
+        assert ts.forward(m, x).tobytes() == want.tobytes(), case
+    # the cases reach a single sum, a 2x2 output, and on each side a last
+    # planes block holding part of the channels, more than one
+    assert any(hw == c == 1 for _, hw, c, _ in blocks)
+    assert any(hw == 4 for _, hw, _, _ in blocks)
+    for side in (True, False):
+        assert any(last == side and c % per > 1 and c > per
+                   for last, _, c, per in blocks), side
+
+
+def test_offset_sum_adds_in_row_major_order_from_zero():
+    # 1.0 then eight 1e-16 terms: added in order, each term rounds away and
+    # the sum is 1.0; numpy sums a reduction left with one output element
+    # pairwise, adding most small terms to each other first, to 1 + 7e-16
+    terms = np.array([1.0] + [1e-16] * 8)
+    for shape in [(9, 1), (9, 1, 1, 1), (9, 2), (9, 3, 2)]:
+        planes = np.empty(shape)
+        planes.T[...] = terms
+        out = np.empty(shape[1:])
+        engine._call(engine._offset_sum(planes, out))
+        assert (out == 1.0).all(), shape
+
+
+def test_dwconv_bias_matches_offset_loop_bitwise(nonzero_bias):
+    test_dwconv_forward_matches_offset_loop_bitwise()
 
 
 # laid out as CONV_CASES, with columns spanning several blocks: rows dividing
@@ -773,9 +832,10 @@ def test_padded_read_of_the_input_fills_no_border(toy4):
 
 def test_col2im_planes_are_zeroed_once(toy4):
     # the planes come zeroed from the pool, so none of the four col2im
-    # layers in toy4's L4 backward emits a fill
+    # layers in toy4's L4 backward emits a fill: each is one planes block,
+    # placed, summed and cropped
     arena = engine._arena(toy4, "L4")
-    assert len(arena._bwd) == 30
+    assert len(arena._bwd) == 34
     assert all(getattr(f, "__name__", "") != "fill" for f, _ in arena._bwd)
     # two convs whose planes have one shape, (3, 3, 2, 10, 10), but another
     # stride and output extent: planes shared by shape alone would hold the
@@ -908,6 +968,74 @@ def test_col2im_matches_scalar_scatter():
             assert got.tobytes() == want.tobytes(), (x_shape, k, stride, pad)
             if negzero:  # a sum from +0.0 never ends at -0.0
                 assert not np.signbit(got).any()
+
+
+def col2im_oracle(gwin, x_shape, s, pad):
+    """The adjoint of the windows (C, OH, OW, k, k) of an x of ``x_shape``
+    (C, H, W): each offset's window gradients placed on a zeroed padded
+    plane of its own, and the planes' cropped regions summed offset by
+    offset in row-major order from +0.0."""
+    c, oh, ow, k, _ = gwin.shape
+    _, h, w = x_shape
+    planes = np.zeros((k, k, c, h + 2 * pad, w + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            planes[i, j, :, i:i + s * oh:s, j:j + s * ow:s] = gwin[..., i, j]
+    out = np.zeros(x_shape)
+    for i in range(k):
+        for j in range(k):
+            out += planes[i, j, :, pad:pad + h, pad:pad + w]
+    return out
+
+
+@pytest.mark.parametrize("c, h, k, s, pad, per", [(17, 32, 3, 1, 1, 12),
+                                                  (40, 20, 5, 2, 2, 9)])
+def test_dwconv_backward_partial_planes_block_matches_cropped_sum(
+        c, h, k, s, pad, per):
+    # per channels fill a planes block, so the last block holds c % per
+    # channels, more than one, and sums a prefix of the planes' channels
+    hp = h + 2 * pad
+    assert engine._PLANES_BLOCK_BYTES // (k * k * hp * hp * 8) == per
+    assert c % per > 1
+    m = graph((c, h, h), [spec("d", ts.DWCONV, channels=c, kernel=k,
+                               stride=s, padding=pad, seed=3),
+                          spec("f", ts.FLATTEN)], [("Z", 1)])
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(m.input_shape)
+    g = rng.standard_normal(m.layers[0].output_shape)
+    w = ts.layer_weights(m.layers[0])["w"]
+    want = col2im_oracle(g[..., None, None] * w[:, None, None], (c, h, h),
+                         s, pad)
+    assert ts.input_gradient(m, "Z", x, g).tobytes() == want.tobytes()
+    arena = engine._arena(m, "Z")
+    np.copyto(arena.x, x)
+    arena.run()
+    np.copyto(arena.cot, g)
+    assert arena.gradient()[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c, h, k, pad, n, blocks", [
+    (8, 64, 3, 1, 2, 6),  # 3 channels a block: 3 blocks an image
+    (4, 32, 3, 1, 5, 2),  # 14 channels a block: blocks of 3 and 2 images
+    (600, 4, 5, 2, 3, 6)])  # channel-last, 327 channels a block: 2 an image
+def test_batched_dwconv_blocks_match_single_images(c, h, k, pad, n, blocks):
+    m = graph((c, h, h), [spec("d", ts.DWCONV, channels=c, kernel=k,
+                               stride=1, padding=pad, seed=2),
+                          spec("s", ts.SIGMOID), spec("f", ts.FLATTEN)],
+              [("Z", 2)])
+    arena = engine._arena(m, "Z", n)
+    # one in-place multiply per planes block; the sigmoid emits none
+    assert sum(f is np.multiply for f, _ in arena._fwd) == blocks
+    rng = np.random.default_rng(23)
+    xs = rng.standard_normal((n,) + m.input_shape)
+    cts = rng.standard_normal(arena.feat.shape)
+    np.copyto(arena.x, xs)
+    arena.run()
+    np.copyto(arena.cot, cts)
+    g = arena.gradient()
+    for x, ct, feat, gx in zip(xs, cts, arena.feat, g):
+        assert feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
+        assert gx.tobytes() == ts.input_gradient(m, "Z", x, ct).tobytes()
 
 
 # ---------------------------------------------------------------------------

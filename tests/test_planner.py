@@ -192,6 +192,22 @@ def test_bad_threshold_or_slack_rejected(threshold, slack):
             planner(req)
 
 
+@pytest.mark.parametrize("threshold, slack", [
+    ("0.2", 0.05), (0.2, "0.05"), (None, 0.05), (0.2, [0.05])])
+def test_non_numeric_threshold_or_slack_is_a_plan_error(threshold, slack):
+    # a value that cannot be compared is refused like an out-of-range one,
+    # never with the comparison's TypeError
+    rng = np.random.default_rng(20)
+    m, asg = toy_request_parts(3)
+    req = ts.PlanRequest(model_name=m.name,
+                         profile=random_profile(rng, m, asg),
+                         scores=tuple((a.boundary_label, 0.1) for a in asg),
+                         assignments=asg, threshold=threshold, slack=slack)
+    for planner in (ts.plan, ts.brute_force_plan):
+        with pytest.raises(ts.PlanError):
+            planner(req)
+
+
 def test_plan_table_csv_shape():
     rng = np.random.default_rng(18)
     m, asg = toy_request_parts(4)
