@@ -31,7 +31,7 @@ product written into its slice of the preallocated output. The backward's
 column gradients (``gcols``) are blocked by the same whole-image rule, so
 at 224 pixels, where one image fills a block, column memory does not grow
 with N; the activations, the depthwise backward's products, the max-pool
-backward scratch and the elementwise temporaries do. The budget sits below
+backward's routes and the elementwise temporaries do. The budget sits below
 glibc's 32 MB ceiling on its dynamic mmap threshold, so blocks are
 recycled from the heap instead of being page-faulted fresh on every call;
 a layer whose columns fit is a single block. Every pass drops each
@@ -64,11 +64,22 @@ are zeroed once, when made, and shared only between layers whose
 placements write the same positions, so no op refills them.
 
 Subgradient conventions at kinks: ReLU propagates zero at exactly zero;
-max pooling routes the gradient to the window argmax, ties broken toward
-the lowest flat index. The forward keeps no argmax: it is a running
-``np.maximum`` over the offsets, and the backward recomputes the argmax
-from the kept input and sums each pixel's terms in window order with one
-``np.bincount`` over every image's channels.
+max pooling routes the gradient to the window's first maximum in row-major
+order, the element ``argmax`` picks. Max pooling is separable, per block
+of whole channels under ``_PLANES_BLOCK_BYTES``: a running ``np.maximum``
+over the k column offsets fills (Hr, OW) column maxima from the kernel
+scratch, Hr = s*(OH - 1) + k padded rows, and one over their k row
+offsets fills the output, 2(k - 1) ops per block. On a tie ``np.maximum``
+returns its second operand, the earlier offset, so each row yields its
+first maximal column and the row pass the first row holding the maximum:
+the row-major first maximum, signed zeros included. The forward keeps no
+argmax. The backward repeats both passes from the kept input with a strict
+``np.greater``, which keeps the earlier offset too: each column winner is
+held as its flat padded index, and the row winner selects it. A later
+offset's index is larger than any earlier one's, so a winner's index is
+the running maximum of index times win, with no masked op. One
+``np.bincount`` over every image's channels sums each pixel's terms in
+window order from +0.0, and one copy crops it.
 
 Weights are materialized lazily from each layer's seed (He-style fan-in
 scaling, zero biases) in the shapes ``graph.weight_shapes`` gives, a
@@ -101,7 +112,8 @@ Each kind's kernel is split in two (``_KERNELS``). Its bind step runs once
 over fixed arrays: given the layer's output array (or, in the backward, the
 arrays its gradient terms go to), it fetches the weights and builds every
 view the arithmetic needs: weight reshapes, the strided window and column
-views, max pooling's routing base, the ``_bind_col2im`` placement views. It
+views, max pooling's offset views and padded indices, the ``_bind_col2im``
+placement views. It
 returns the call step: a list of ops, (numpy function, arguments) tuples
 that only do arithmetic, writing with ``out=`` into those arrays.
 
@@ -297,27 +309,34 @@ def _bordered(shape, border):
     return xp[..., pad:-pad, pad:-pad]
 
 
+def _bind_padded(x, pad, fill, scratch, bordered):
+    """``x`` (..., H, W) padded by ``pad`` on each spatial side with
+    ``fill``, and the ops that refresh the padded array from ``x``. There
+    are none at ``pad == 0``, where the padded array is ``x`` itself, nor
+    when ``bordered``: ``x`` is then an interior
+    ``_bordered(x.shape, (pad, fill))``, and the padded array is the array
+    it is the interior of. Otherwise the one op copies ``x`` into such an
+    interior from ``scratch.take``, given back at once because only this
+    layer's ops read it."""
+    if not pad:
+        return x, []
+    ops = []
+    if not bordered:
+        inner = scratch.take(x.shape, (pad, fill))
+        scratch.give(inner, (pad, fill))
+        ops = [(np.copyto, inner, x)]
+        x = inner
+    return x.base, ops
+
+
 def _bind_windows(x, k, stride, pad, fill, scratch, bordered=False):
     """Read-only (..., OH, OW, k, k) view of the k x k windows of ``x``
     (..., H, W) padded by ``pad`` on each spatial side with ``fill``, taken
-    at ``stride``, and the ops that refresh the padded array from ``x``.
-    There are none at ``pad == 0``, where the view is of ``x`` itself, nor
-    when ``bordered``: ``x`` is then an interior
-    ``_bordered(x.shape, (pad, fill))``, and the view is of the array it is
-    the interior of. Otherwise the one op copies ``x`` into such an interior
-    from ``scratch.take``, given back at once because only this layer's ops
-    read it."""
+    at ``stride``, and the ops of ``_bind_padded``."""
     *lead, h, w = x.shape
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    xp, ops = x, []
-    if pad:
-        if not bordered:
-            inner = scratch.take(x.shape, (pad, fill))
-            scratch.give(inner, (pad, fill))
-            ops = [(np.copyto, inner, x)]
-            x = inner
-        xp = x.base
+    xp, ops = _bind_padded(x, pad, fill, scratch, bordered)
     *lead_strides, sh, sw = xp.strides
     win = np.ndarray((*lead, oh, ow, k, k), xp.dtype, xp, 0,
                      (*lead_strides, sh * stride, sw * stride, sh, sw))
@@ -498,49 +517,122 @@ def _dwconv_grad(st, g, acts, w, dsts, scratch):
                                  st.stride, st.padding, scratch))
 
 
+def _pool_blocks(st, acts, scratch):
+    """Max pooling's source, padded, with every image's channels taken as
+    one axis, (N*C, Hp, Wp), in blocks of whole channels: the ops that pad
+    it, the shape (channels, Hr, OW) of a block's column maxima, as many
+    channels as fit in ``_PLANES_BLOCK_BYTES``, at least one, and, per
+    block, its first channel and its k column views (channels, Hr, OW),
+    column offset j of every window over the Hr = s*(OH - 1) + k padded
+    rows the windows read."""
+    k, s = st.kernel, st.stride
+    _, oh, ow = st.out_shape
+    xp, ops = _bind_padded(acts[st.source], st.padding, st.fill, scratch,
+                           st.bordered)
+    xp = np.reshape(xp, (-1,) + xp.shape[-2:], copy=False)
+    hr = s * (oh - 1) + k
+    cb = min(len(xp), max(1, _PLANES_BLOCK_BYTES // (hr * ow * 8)))
+    return ops, (cb, hr, ow), [
+        (c0, [xp[c0:c0 + cb, :hr, j:j + s * (ow - 1) + 1:s] for j in range(k)])
+        for c0 in range(0, len(xp), cb)]
+
+
+def _pool_rows(a, st):
+    """The k row-offset views (channels, OH, OW) of (channels, Hr, OW)."""
+    n = st.stride * (st.out_shape[1] - 1) + 1
+    return [a[:, i:i + n:st.stride] for i in range(st.kernel)]
+
+
+def _running_max(planes, out):
+    """The ops writing the maximum of ``planes`` into ``out``: a running
+    ``np.maximum``, which on a tie returns its second operand, the earlier
+    plane, so each element holds the first maximal plane's value."""
+    if len(planes) == 1:
+        return [(np.copyto, out, planes[0])]
+    return [(partial(np.maximum, planes[1], planes[0], out=out),)] + [
+        (partial(np.maximum, p, out, out=out),) for p in planes[2:]]
+
+
 def _maxpool(st, acts, out, w, scratch):
-    k = st.kernel
-    win, ops = _source_windows(st, acts, scratch)
-    # on a tie np.maximum returns its second operand: the earlier offset
-    if k == 1:
-        ops.append((np.copyto, out, win[..., 0, 0]))
-    else:
-        ops.append((partial(np.maximum, win[..., 0, 1], win[..., 0, 0],
-                            out=out),))
-    ops += [(partial(np.maximum, win[..., i, j], out, out=out),)
-            for i in range(k) for j in range(k) if i * k + j > 1]
+    """Per block of whole channels, two running maxima: over the column
+    offsets into the (Hr, OW) column maxima (at k = 1, the one column
+    view), then over their row offsets into the output."""
+    ops, shape, blocks = _pool_blocks(st, acts, scratch)
+    dst = np.reshape(out, (-1,) + out.shape[-2:], copy=False)
+    cm = scratch(shape) if st.kernel > 1 else None
+    for c0, cols in blocks:
+        n = len(cols[0])
+        c = cols[0]
+        if cm is not None:
+            c = cm[:n]
+            ops += _running_max(cols, c)
+        ops += _running_max(_pool_rows(c, st), dst[c0:c0 + n])
     return out, ops
 
 
 def _maxpool_grad(st, g, acts, w, dsts, scratch):
-    """Route each window's gradient to its first argmax, recomputed from the
-    input; ``bincount`` sums the terms of a pixel in window order from zero,
-    over every image's channels at once."""
+    """Route each window's gradient to its first maximum in row-major order,
+    found by the forward's two passes: each padded row's first maximal
+    column, held as its flat padded index, then the first row holding the
+    window's maximum selects it. A plane wins where it is strictly greater
+    than every earlier plane, so a tie keeps the earlier one, and a later
+    plane's index is larger than any earlier plane's, so the winner's
+    index is the running maximum of index times win. ``bincount`` sums the
+    terms of a pixel in window order from zero, over every image's channels
+    at once."""
     k, s, pad = st.kernel, st.stride, st.padding
     _, oh, ow = st.out_shape
     _, h, wd = st.in_shape
     hp, wp = h + 2 * pad, wd + 2 * pad
     padded = g.shape[:2] + (hp, wp)  # every image's padded input
-    win, ops = _source_windows(st, acts, scratch)
-    flat = scratch(g.shape + (k * k,))
-    idx = scratch(g.shape, np.intp)
-    route = scratch(g.shape, np.intp)
-    # routing base: the flat padded index of each window's corner, and each
-    # offset's distance from it
-    corner = np.arange(math.prod(padded)).reshape(padded)
-    corner = corner[..., :s * oh:s, :s * ow:s].copy()
-    offset = (np.arange(k)[:, None] * wp + np.arange(k)).ravel()
+    ops, (cb, hr, _), blocks = _pool_blocks(st, acts, scratch)
+    route = scratch((math.prod(g.shape[:2]), oh, ow), np.intp)
+    # the flat padded index of column offset 0 of each row of every window,
+    # for a block's channels counted from its first
+    base = ((np.arange(cb)[:, None, None] * hp + np.arange(hr)[:, None]) * wp
+            + np.arange(0, s * ow, s))
+    if k > 1:
+        cm, ci = scratch((cb, hr, ow)), scratch((cb, hr, ow), np.intp)
+        won = scratch((cb, oh, ow), np.intp)
+        gt, rm = ((scratch((cb, hr, ow), np.intp), scratch((cb, oh, ow)))
+                  if k > 2 else (None, None))
+    for c0, cols in blocks:
+        n = len(cols[0])
+        r = route[c0:c0 + n]
+        c, q = cols[0], base[:n]
+        if k > 1:
+            # column pass: each padded row's first maximal column offset,
+            # then its flat index
+            c, q = cm[:n], ci[:n]
+            ops += [(np.greater, cols[1], cols[0], q),
+                    (partial(np.maximum, cols[1], cols[0], out=c),)]
+            for j in range(2, k):
+                t = gt[:n]
+                ops += [(np.greater, cols[j], c, t),
+                        (partial(np.maximum, cols[j], c, out=c),),
+                        (np.multiply, t, j, t),
+                        (partial(np.maximum, q, t, out=q),)]
+            ops.append((np.add, q, base[:n], q))
+        # row pass: the first row holding the maximum picks its index
+        rc, rq = _pool_rows(c, st), _pool_rows(q, st)
+        if k == 1:
+            ops.append((np.copyto, r, rq[0]))
+        for i in range(1, k):
+            u, prev = won[:n], rc[0] if i == 1 else rm[:n]
+            ops.append((np.greater, rc[i], prev, u))
+            if i < k - 1:
+                ops.append((partial(np.maximum, rc[i], prev, out=rm[:n]),))
+            ops += [(np.multiply, rq[i], u, u),
+                    (partial(np.maximum, rq[0] if i == 1 else r, u, out=r),)]
+        if c0:
+            ops.append((np.add, r, c0 * hp * wp, r))
     gflat, rflat, dst = g.reshape(-1), route.reshape(-1), dsts[0]
 
     def scatter():
         xpg = np.bincount(rflat, weights=gflat, minlength=math.prod(padded))
         np.copyto(dst, xpg.reshape(padded)[..., pad:pad + h, pad:pad + wd])
 
-    return dsts, ops + [(np.copyto, flat.reshape(win.shape), win),
-                        (flat.argmax, -1, idx),
-                        (offset.take, idx, None, route, "clip"),
-                        (np.add, route, corner, route),
-                        (scatter,)]
+    return dsts, ops + [(scatter,)]
 
 
 def _avgpool(st, acts, out, w, scratch):

@@ -282,6 +282,11 @@ def _check_params(name, kind, params):
     for key in ("padding", "seed"):
         if checked.get(key, 0) < 0:
             raise GraphError(f"layer {name!r}: {key} must be >= 0")
+    if kind == MAXPOOL and checked.get("padding", 0) >= checked["kernel"]:
+        # a window would read only the -inf border
+        raise GraphError(f"layer {name!r}: MaxPool padding "
+                         f"{checked['padding']} must be less than its kernel "
+                         f"{checked['kernel']}")
     return checked
 
 

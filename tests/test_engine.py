@@ -498,6 +498,17 @@ def test_maxpool_matches_argmax_oracle():
         # all negative: the -inf padding must never win
         (-rng.uniform(1.0, 2.0, (2, 7, 7)), 3, 2, 1),
         (-rng.uniform(1.0, 2.0, (2, 7, 7)), 2, 2, 1),
+        # no comparison at all; gaps between windows; windows that abut;
+        # windows that overlap by one column and row
+        (rng.integers(0, 3, (2, 9, 9)).astype(np.float64), 1, 2, 0),
+        (rng.integers(0, 3, (2, 11, 11)).astype(np.float64), 2, 3, 0),
+        (rng.integers(0, 3, (2, 9, 9)).astype(np.float64), 3, 3, 0),
+        (rng.integers(0, 3, (2, 7, 7)).astype(np.float64), 2, 1, 0),
+        # a non-square map: rows and columns take their own extents
+        (rng.integers(0, 3, (2, 9, 7)).astype(np.float64), 3, 2, 1),
+        # more channels than one block of column maxima holds (63 here):
+        # the later block's indices start at its first channel
+        (rng.integers(0, 3, (70, 64, 64)).astype(np.float64), 3, 2, 1),
     ]
     for x, k, s, pad in cases:
         layers = [spec("p", ts.MAXPOOL, kernel=k, stride=s, padding=pad),
@@ -507,10 +518,26 @@ def test_maxpool_matches_argmax_oracle():
         g = rng.standard_normal(out.shape)
         g[rng.random(g.shape) < 0.2] = -0.0
         want_out, want_g = _maxpool_oracle(x, g, k, s, pad)
-        assert out.tobytes() == want_out.tobytes(), (k, s, pad)
+        assert out.tobytes() == want_out.tobytes(), (x.shape, k, s, pad)
         got_g = ts.input_gradient(m, "P", x, g)
         assert got_g.tobytes() == np.ascontiguousarray(want_g).tobytes(), \
-            (k, s, pad)
+            (x.shape, k, s, pad)
+    # a batched arena of three images, whose channels (3 x 30) also span
+    # two blocks: every image equals the oracle on it alone
+    layers = [spec("p", ts.MAXPOOL, kernel=3, stride=2, padding=1),
+              spec("f", ts.FLATTEN)]
+    m = graph((30, 64, 64), layers, points=[("P", 1)])
+    arena = engine._arena(m, "P", 3)
+    xs = rng.integers(0, 3, arena.x.shape).astype(np.float64)
+    gs = rng.standard_normal(arena.feat.shape)
+    np.copyto(arena.x, xs)
+    arena.run()
+    np.copyto(arena.cot, gs)
+    got = arena.gradient()
+    for x, g, out, gx in zip(xs, gs, arena.feat, got):
+        want_out, want_g = _maxpool_oracle(x, g, 3, 2, 1)
+        assert out.tobytes() == want_out.tobytes()
+        assert gx.tobytes() == np.ascontiguousarray(want_g).tobytes()
 
 
 def test_schedule_holds_no_weights(request):
@@ -654,6 +681,62 @@ def test_batched_arenas_match_public_api_per_image_on_random_models():
             assert feat.tobytes() == ts.forward_until(m, x, "Z").tobytes()
             assert gx.tobytes() == ts.input_gradient(m, "Z", x, ct).tobytes()
     assert kinds == ALL_KINDS, ALL_KINDS - kinds
+
+
+def _oracle_maxpool_kernels(monkeypatch):
+    """Bind MaxPool through ``_maxpool_oracle``, image by image, in place of
+    the engine's kernels."""
+    def fwd(st, acts, out, w, scratch):
+        x = acts[st.source]
+
+        def run():
+            for xi, oi in zip(x, out):
+                oi[...] = _maxpool_oracle(xi, np.zeros(oi.shape), st.kernel,
+                                          st.stride, st.padding)[0]
+        return out, [(run,)]
+
+    def bwd(st, g, acts, w, dsts, scratch):
+        x = acts[st.source]
+
+        def run():
+            for xi, gi, di in zip(x, g, dsts[0]):
+                di[...] = _maxpool_oracle(xi, gi, st.kernel, st.stride,
+                                          st.padding)[1]
+        return dsts, [(run,)]
+
+    monkeypatch.setitem(engine._KERNELS, ts.MAXPOOL,
+                        (fwd, bwd, engine._KERNELS[ts.MAXPOOL][2]))
+
+
+def test_batched_arenas_match_maxpool_oracle_on_random_models(monkeypatch):
+    # pools whose windows overlap (k3/s2/p1, k3/s1/p1) beside k2/s2, on
+    # inputs of five levels, so windows hold ties that BatchNormAffine,
+    # Swish and other pools carry to a pool's input: each image of a
+    # batched arena equals the public passes run with MaxPool bound
+    # through the argmax oracle, image by image
+    rng = np.random.default_rng(79)
+    pools = ((2, 2, 0), (3, 2, 1), (3, 1, 1))
+    seen = set()
+    for _ in range(60):
+        m = build_random_model(rng, pools)
+        seen.update((layer.params["kernel"], layer.params["stride"],
+                     layer.params["padding"])
+                    for layer in m.layers if layer.kind == ts.MAXPOOL)
+        arena = engine._arena(m, "Z", 2)
+        xs = rng.integers(0, 5, arena.x.shape) / 4.0
+        cts = rng.standard_normal(arena.feat.shape)
+        np.copyto(arena.x, xs)
+        arena.run()
+        np.copyto(arena.cot, cts)
+        g = arena.gradient()
+        with monkeypatch.context() as mp:
+            _oracle_maxpool_kernels(mp)
+            for x, ct, feat, gx in zip(xs, cts, arena.feat, g):
+                assert feat.tobytes() == \
+                    ts.forward_until(m, x, "Z").tobytes(), m.layers
+                assert gx.tobytes() == \
+                    ts.input_gradient(m, "Z", x, ct).tobytes(), m.layers
+    assert seen == set(pools), seen
 
 
 @pytest.mark.parametrize("h, n, per, rows", [(20, 5, 4, 20), (40, 3, 1, 40),
@@ -820,7 +903,7 @@ def test_padded_read_of_the_input_fills_no_border(toy4):
     # forward copies it into the interior of a scratch array whose border
     # was filled when the array was made, and emits no fill of its own
     arena = engine._arena(toy4, "L4")
-    assert len(arena._fwd) == 23
+    assert len(arena._fwd) == 21
     assert all(getattr(f, "__name__", "") != "fill" for f, _ in arena._fwd)
     f, (inner, src) = arena._fwd[0]
     assert f is np.copyto and src is arena.x
@@ -835,7 +918,7 @@ def test_col2im_planes_are_zeroed_once(toy4):
     # layers in toy4's L4 backward emits a fill: each is one planes block,
     # placed, summed and cropped
     arena = engine._arena(toy4, "L4")
-    assert len(arena._bwd) == 34
+    assert len(arena._bwd) == 38
     assert all(getattr(f, "__name__", "") != "fill" for f, _ in arena._bwd)
     # two convs whose planes have one shape, (3, 3, 2, 10, 10), but another
     # stride and output extent: planes shared by shape alone would hold the
@@ -1047,9 +1130,11 @@ ALL_KINDS = {ts.CONV, ts.DWCONV, ts.FC, ts.RELU, ts.SWISH, ts.SIGMOID,
              ts.FLATTEN}
 
 
-def build_random_model(rng):
+def build_random_model(rng, pools=None):
     """Random small chain; the probe boundary sits after the last block so
-    every layer except the trailing marker lies on the gradient path."""
+    every layer except the trailing marker lies on the gradient path. Its
+    pools are k2/s2 unless ``pools`` lists the (kernel, stride, padding)
+    to draw from, with one more draw per pool."""
     c = int(rng.integers(1, 4))
     size = h0 = int(rng.choice([8, 12]))
     layers = []
@@ -1076,9 +1161,11 @@ def build_random_model(rng):
             put(ts.BNORM, channels=cur, seed=int(rng.integers(0, 99)))
             put(ts.SIGMOID)
         elif choice == 2 and size >= 8:
+            k, s, p = ((2, 2, 0) if pools is None
+                       else pools[rng.integers(0, len(pools))])
             put(ts.MAXPOOL if rng.integers(0, 2) else ts.AVGPOOL,
-                kernel=2, stride=2)
-            size //= 2
+                kernel=k, stride=s, padding=p)
+            size = (size + 2 * p - k) // s + 1
         elif choice == 3:
             pre = len(layers) - 1
             put(ts.CONV, in_channels=cur, out_channels=cur, kernel=1,

@@ -99,6 +99,28 @@ def test_pool_too_small_raises():
         ts.make_graph("m", (1, 4, 4), layers, [])
 
 
+@pytest.mark.parametrize("k, s, pad, ok", [(2, 1, 2, False), (3, 2, 3, False),
+                                          (2, 1, 1, True), (3, 2, 2, True)])
+def test_maxpool_padding_must_be_less_than_its_kernel(k, s, pad, ok):
+    # padding >= kernel leaves windows that read only the -inf border, so
+    # every forward would fail; such a pool is refused where the model is
+    # made, from a LayerSpec chain and from model JSON alike
+    layers = chain(("p", ts.MAXPOOL, {"kernel": k, "stride": s,
+                                      "padding": pad}))
+    if ok:
+        m = ts.make_graph("m", (1, 3, 3), layers, [])
+        out = ts.forward(m, np.arange(9.0).reshape(1, 3, 3))
+        assert np.isfinite(out).all()
+        return
+    with pytest.raises(ts.GraphError, match="padding .* less than its kernel"):
+        ts.make_graph("m", (1, 3, 3), layers, [])
+    doc = ts.model_to_json(ts.make_graph("m", (1, 3, 3), chain(
+        ("p", ts.MAXPOOL, {"kernel": k, "stride": s, "padding": 0})), []))
+    doc["layers"][0]["padding"] = pad
+    with pytest.raises(ts.GraphError, match="padding .* less than its kernel"):
+        ts.model_from_json(doc)
+
+
 def test_skip_reference_may_not_cross_boundary():
     layers = chain(
         ("c1", ts.CONV, {"in_channels": 3, "out_channels": 3, "kernel": 3,

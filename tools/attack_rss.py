@@ -21,7 +21,8 @@ and near 584 MB with twenty. The figure moves with how the engine stores
 and pools an inversion's arrays; at this size the attack binds one image
 at a time, so only the stack's inputs, targets and results grow with N.
 EfficientNet-B0 Layer 5 is the one run of the depthwise kernels' scratch
-at 224 pixels.
+at 224 pixels, and ResNet-50 Layer 1 the one of an overlapping max pool
+(k3/s2/p1) in an arena.
 """
 
 from __future__ import annotations
