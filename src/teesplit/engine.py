@@ -21,7 +21,8 @@ with the batch folded into its columns, which would sum in another order;
 a fully connected layer is one (O, I) @ (I, 1) product per image; every
 reduction runs over one image's own axes. ``forward``, ``forward_until``
 and ``input_gradient`` run their one input as a batch of one; an
-``_Arena`` binds N, the maps the attack inverts together.
+``_Arena`` binds the maps the attack inverts together, at one boundary or
+at several.
 
 The forward pass streams its memory. Columns are built and multiplied in
 blocks of at most ``graph._COLS_BLOCK_BYTES`` (8 MB): as many whole images
@@ -102,11 +103,13 @@ layers padding it alike (p > 0, the same fill: 0.0, or -inf for max
 pooling), made by a kind that writes through ``out=``, is the interior
 view of an (N, C, H + 2p, W + 2p) array, and its readers window that array
 with no op of their own, so the forward's peak holds no padded copy beside
-the activation. The graph input and a pass's last slot (b - 1) are stored
-unbordered, so every public pass returns a contiguous array and a split's
-halves need nothing new; a padded read of any unbordered slot copies it
-into the interior of a bordered scratch array, one op per call.
-Gradients are never bordered.
+the activation. The graph input and a pass's boundary slots (its last,
+b - 1, and in an arena over several boundaries each one's) are stored
+unbordered, so every public pass returns a contiguous array, a split's
+halves need nothing new and each boundary's rows of its slot are
+contiguous; a padded read of any unbordered slot copies it into the
+interior of a bordered scratch array, one op per call. Gradients are never
+bordered.
 
 Each kind's kernel is split in two (``_KERNELS``). Its bind step runs once
 over fixed arrays: given the layer's output array (or, in the backward, the
@@ -118,7 +121,9 @@ returns the call step: a list of ops, (numpy function, arguments) tuples
 that only do arithmetic, writing with ``out=`` into those arrays.
 
 Two binders bind every pass: ``_bind_prefix`` the forward of layers
-[0, b), ``_bind_gradient`` their backward. Each hands a layer's ops to its
+[0, b), ``_bind_gradient`` their backward, each layer over the leading
+rows of its sources, those of every boundary at or beyond it (the public
+passes run one row throughout). Each hands a layer's ops to its
 caller's ``apply`` before the next layer binds: ``forward``,
 ``forward_until`` and ``input_gradient`` pass ``_call``, which runs them
 at once on fresh arrays and drops them, so those passes hold nothing past
@@ -128,14 +133,22 @@ for any prefix that ends at a partition point, because ``make_graph``
 lets no reference but the one to slot b - 1 cross a partition point.
 
 An ``_Arena`` binds a whole prefix, forward and backward, and keeps the
-ops. It owns the input, the boundary activation, the input gradient and
-each activation its backward reads, each a fresh array, and the cotangent
-array its caller writes before each gradient. Its checks are its own:
-each is one exact test over one of those arrays, raising the error the
-public passes raise, over the whole batch. The attack in ``privacy`` binds
-one per inversion (``_arena``), over all the maps it inverts together,
-runs every candidate in it, keeps the accepted inputs outside it and
-drops it when the inversion returns. The arena takes its other
+ops; or several nested prefixes in one ragged batch. Its rows are laid out
+by boundary, deepest first, and layer l runs only the leading rows, those
+of the boundaries beyond l, so each layer is bound once and each row runs
+only its own prefix: toy4's four boundaries at two rows each bind 22
+forward and 38 backward ops, where four arenas bind 54 and 95. The
+arena owns the input, each boundary activation, the input gradient and
+each activation its backward reads, each a fresh array. A boundary slot's
+gradient is one array: the backward of the layers beyond the boundary
+writes its leading rows, and the boundary's cotangent, which the caller
+writes before each gradient, fills its trailing rows. Its checks are its
+own: each is one exact test over one of those arrays, raising the error
+the public passes raise, over the whole batch or, for an activation or a
+cotangent, over one boundary's rows. The attack in ``privacy`` binds one
+per arena of maps it inverts together (``_arena``), runs every candidate
+in it, keeps the accepted inputs outside it and drops it when the
+inversion returns. The arena takes its other
 arrays from one ``_Scratch``, sized by a probe binding over fresh arrays.
 Kernel scratch, the memory that lives only inside one call (column blocks,
 ``gcols``, the depthwise planes, the col2im accumulators, elementwise
@@ -151,6 +164,7 @@ module-level: the ``_Scratch`` of the public passes hands out fresh arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import partial
 
@@ -773,38 +787,63 @@ _KERNELS = {
 }
 
 
-def _bind(st, acts, keep, scratch, upto):
-    """Bind layer ``st``'s forward over ``acts`` and return the ops that fill
-    its output: slot ``st.index``, stored with the schedule's ``st.border``
-    unless it is the pass's last, slot upto - 1, which is stored unbordered;
-    a fresh array if the slot is in ``keep``, one from ``scratch.take`` if
-    not."""
+def _reading(st, acts, slots, m, ends):
+    """``st`` and ``acts`` as layer ``st``, running m rows, reads ``slots``
+    of them. Only a boundary slot, one of ``ends`` (set-like), has more rows
+    than its readers, so when ``slots`` holds none they are as given; else
+    the arrays of ``slots`` by slot, each cut to its leading m rows, and
+    the source read as unbordered when it is one of ``ends``, which are
+    stored unbordered."""
+    if ends.isdisjoint(slots):
+        return st, acts
+    return ((st._replace(bordered=False) if st.bordered and st.source in ends
+             else st),
+            {r: acts[r] if len(acts[r]) == m else acts[r][:m] for r in slots})
+
+
+def _bind(st, acts, keep, scratch, m, end, ends):
+    """Bind layer ``st``'s forward over the leading ``m`` rows of the slots
+    it reads and return the ops that fill its output: slot ``st.index``, of
+    m rows, stored with the schedule's ``st.border`` unless it is ``end``,
+    the boundary slot of its prefix, which is stored unbordered; a fresh
+    array if the slot is in ``keep``, one from ``scratch.take`` if not.
+    ``ends`` holds the pass's boundary slots when it has several, else it
+    is None: in a pass over one prefix no layer reads its boundary slot."""
     scratch.start()
-    border = () if st.index == upto - 1 else st.border
-    shape = (len(acts[st.source]),) + st.out_shape  # its source's batch axis
+    border = () if st.index == end else st.border
+    shape = (m,) + st.out_shape
     out = (_bordered(shape, border) if st.index in keep
            else scratch.take(shape, border))
     w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
-    acts[st.index], ops = _KERNELS[st.kind][0](st, acts, out, w, scratch)
+    src, reads = ((st, acts) if ends is None
+                  else _reading(st, acts, st.refs, m, ends))
+    acts[st.index], ops = _KERNELS[st.kind][0](src, reads, out, w, scratch)
     return ops
 
 
-def _bind_prefix(model, upto, acts, keep, scratch, apply):
-    """Bind layers [0, upto) over ``acts``, the activations in slot layout,
-    and hand each layer's ops to ``apply`` before the next layer binds.
+def _bind_prefix(model, ends, acts, keep, scratch, apply):
+    """Bind layers [0, b) over ``acts``, the activations in slot layout,
+    b - 1 the deepest of ``ends``, and hand each layer's ops to ``apply``
+    before the next layer binds. ``ends`` maps each boundary slot of the
+    pass to the rows of the layers up to it: a pass over nested prefixes
+    lays their rows out deepest prefix first, so a layer runs the leading
+    rows, those of every prefix that holds it.
 
     After each layer, the slots in its ``Step.dead`` outside ``keep`` are
     given back to ``scratch`` under their schedule's border and set to None.
     (The input, slot -1, reads the last layer's border, (): no layer reads
     that layer's output.) At the graph's end or at a partition point, which
-    only a reference to slot upto - 1 crosses, that slot never dies and
-    every other slot dies inside the prefix."""
-    for st in model.schedule[:upto]:
-        apply(_bind(st, acts, keep, scratch, upto))
-        for r in st.dead:
-            if r not in keep:
-                scratch.give(acts[r], model.schedule[r].border)
-                acts[r] = None
+    only a reference to the boundary slot crosses, a boundary slot's only
+    readers run fewer rows, and every other slot dies inside its prefix."""
+    lo, several = 0, ends.keys() if len(ends) > 1 else None
+    for end in sorted(ends):
+        for st in model.schedule[lo:end + 1]:
+            apply(_bind(st, acts, keep, scratch, ends[end], end, several))
+            for r in st.dead:
+                if r not in keep:
+                    scratch.give(acts[r], model.schedule[r].border)
+                    acts[r] = None
+        lo = end + 1
 
 
 def _kept(steps):
@@ -812,29 +851,34 @@ def _kept(steps):
     return {r for st in steps for r in _KERNELS[st.kind][2](st)}
 
 
-def _bind_backward(model, st, acts, grads, scratch):
-    """Bind layer ``st``'s backward over ``acts`` and ``grads`` and return
-    its ops. It reads grads[st.index], which it then gives back to
-    ``scratch``. A slot's first term is written into an array from
-    ``scratch.take`` (the input's own array is always fresh), a later one
-    into scratch and added."""
+def _bind_backward(model, st, acts, grads, inner, scratch):
+    """Bind layer ``st``'s backward over ``acts`` and ``grads``, over the m
+    rows of grads[st.index], and return its ops; it then gives that
+    gradient back to ``scratch``. A slot's first term is written into the
+    leading m rows of its gradient: the array ``inner`` holds for the slot,
+    else one from ``scratch.take`` (the input's own array is always fresh).
+    A later term goes into scratch and is added."""
     scratch.start()
     g = grads[st.index]
+    m = len(g)
     w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
-    dsts, later = [], []
+    dsts, sums = [], []
     for r in st.refs:
-        shape = (len(g),) + (model.input_shape if r < 0
-                             else model.layers[r].output_shape)
-        later.append(grads[r] is not None)
-        if later[-1]:
-            dsts.append(scratch(shape))
-        else:
-            grads[r] = np.empty(shape) if r < 0 else scratch.take(shape)
-            dsts.append(grads[r])
-    terms, ops = _KERNELS[st.kind][1](st, g, acts, w, dsts, scratch)
-    for r, dst, term, add in zip(st.refs, dsts, terms, later):
-        if add:
-            ops.append((np.add, grads[r], term, grads[r]))
+        shape = (m,) + (model.input_shape if r < 0
+                        else model.layers[r].output_shape)
+        first = grads[r] is None
+        if first:
+            grads[r] = (inner[r] if r in inner else np.empty(shape) if r < 0
+                        else scratch.take(shape))
+        lead = grads[r] if len(grads[r]) == m else grads[r][:m]
+        sums.append(None if first else lead)
+        dsts.append(lead if first else scratch(shape))
+    src, reads = ((st, acts) if not inner else
+                  _reading(st, acts, _KERNELS[st.kind][2](st), m, inner.keys()))
+    terms, ops = _KERNELS[st.kind][1](src, g, reads, w, dsts, scratch)
+    for dst, term, lead in zip(dsts, terms, sums):
+        if lead is not None:
+            ops.append((np.add, lead, term, lead))
         elif term is not dst:
             # a pass-through view of g: copied, so no gradient aliases g
             ops.append((np.copyto, dst, term))
@@ -843,74 +887,99 @@ def _bind_backward(model, st, acts, grads, scratch):
     return ops
 
 
-def _bind_gradient(model, upto, acts, cot, scratch, apply):
+def _bind_gradient(model, upto, acts, cot, scratch, apply, inner=None):
     """Bind the backward of layers [0, upto) over ``acts``, from cotangent
     ``cot`` on slot upto - 1, and hand each layer's ops to ``apply`` before
-    the next layer binds. Returns the input's gradient array, which holds
-    the gradient once every op has been applied."""
+    the next layer binds; each layer runs the rows of its output gradient.
+    In a pass over nested prefixes, ``inner`` maps each other boundary slot
+    to its gradient array: the backward of the layers beyond it writes the
+    leading rows, its own cotangent fills the trailing ones. Returns the
+    input's gradient array, which holds the gradient once every op has been
+    applied."""
+    inner = inner or {}
     grads = [None] * (upto + 1)  # slot layout: the input's gradient is last
     grads[upto - 1] = cot
     for st in reversed(model.schedule[:upto]):
         if grads[st.index] is not None:  # else only read beyond the boundary
-            apply(_bind_backward(model, st, acts, grads, scratch))
+            apply(_bind_backward(model, st, acts, grads, inner, scratch))
     # never None: every source lies below its layer, so every chain ends here
     return grads[-1]
 
 
 class _Arena:
-    """One enclave prefix bound, forward and backward, over arrays of its
-    own. Write an input into ``x``, then ``run`` it; the boundary activation
-    is ``feat``. To differentiate the last run, write a cotangent into
-    ``cot`` and call ``gradient``: a run, or a gradient, may overwrite
-    ``cot``, so write it after the run. The gradient returned is the arena's
-    own array, rewritten only by its next ``gradient``, so a ``run`` leaves
-    it as it was.
+    """Enclave prefixes bound, forward and backward, over arrays of their
+    own. ``ends`` is ((boundary label, n), ...), deepest first: the rows of
+    the batch are laid out by boundary, n each, in that order, and layer l
+    runs only the leading rows, those of the boundaries beyond l, so each
+    row runs its own prefix and nothing more. One boundary is one prefix
+    over a batch of n. Write the inputs into ``x``, then ``run`` them;
+    boundary i's activation, its own rows of its slot, is ``feats[i]``. To
+    differentiate the last run, write each boundary's cotangent into
+    ``cots[i]`` and call ``gradient``: a run, or a gradient, may overwrite
+    ``cots``, so write them after the run. The gradient returned is the
+    arena's own array, rewritten only by its next ``gradient``, so a
+    ``run`` leaves it as it was. ``feat`` and ``cot`` are the first
+    boundary's.
 
-    The arena keeps the input, the boundary activation and each activation
+    The arena keeps the input, each boundary activation and each activation
     its backward reads. Every other activation, and every gradient but the
     input's, is taken from ``scratch`` and given back after its last reader,
     so layers whose live ranges do not overlap share one array; those
     values do not outlive one ``run`` or ``gradient``.
 
-    ``run`` and ``gradient`` check the input and the cotangent before their
-    ops and the boundary activation and the gradient after them, raising
-    the errors ``forward_until`` and ``input_gradient`` raise. Each check is
-    one exact test over an array the arena owns: its dot with zeros is NaN
-    exactly when an element is not finite, since inf * 0 and NaN * 0 are
-    NaN."""
+    ``run`` and ``gradient`` check the input and each boundary's cotangent
+    before their ops and each boundary's activation and the gradient after
+    them, raising the errors ``forward_until`` and ``input_gradient`` raise.
+    Each check is one exact test over an array the arena owns: its dot with
+    zeros is NaN exactly when an element is not finite, since inf * 0 and
+    NaN * 0 are NaN."""
 
-    def __init__(self, model, boundary_label, scratch, n):
-        b = model.boundary_of(boundary_label)
+    def __init__(self, model, ends, scratch):
         self._where = f"model {model.name!r}"
-        self._label = boundary_label
-        self.x = np.empty((n,) + model.input_shape)
-        self.acts = [None] * b + [self.x]
+        bs = [model.boundary_of(label) for label, _ in ends]
+        # boundary slot -> the rows of the layers up to it
+        rows = dict(zip((b - 1 for b in bs),
+                        itertools.accumulate(n for _, n in ends)))
+        self.x = np.empty((rows[bs[-1] - 1],) + model.input_shape)
+        self.acts = [None] * bs[0] + [self.x]
         fwd, bwd = [], []
-        keep = {-1, b - 1, *_kept(model.schedule[:b])}
-        _bind_prefix(model, b, self.acts, keep, scratch, fwd.extend)
-        self.feat = self.acts[b - 1]
-        self.cot = scratch.take(self.feat.shape)
-        self._grad = _bind_gradient(model, b, self.acts, self.cot, scratch,
-                                    bwd.extend)
+        keep = {-1, *rows, *_kept(model.schedule[:bs[0]])}
+        _bind_prefix(model, rows, self.acts, keep, scratch, fwd.extend)
+        # each boundary slot's gradient, as the arena takes it
+        grads = {b - 1: scratch.take(self.acts[b - 1].shape) for b in bs}
+        self.feats, self.cots = (
+            tuple(a[b - 1][rows[b - 1] - n:] for b, (_, n) in zip(bs, ends))
+            for a in (self.acts, grads))
+        self.feat, self.cot = self.feats[0], self.cots[0]
+        self._grad = _bind_gradient(model, bs[0], self.acts,
+                                    grads.pop(bs[0] - 1), scratch, bwd.extend,
+                                    grads)
         self._fwd = [(op[0], op[1:]) for op in fwd]
         self._bwd = [(op[0], op[1:]) for op in bwd]
-        zeros = np.zeros(max(self.x.size, self.feat.size))
-        self._x_dot, self._feat_dot, self._cot_dot, self._grad_dot = (
-            partial(np.reshape(a, -1, copy=False).dot, zeros[:a.size])
-            for a in (self.x, self.feat, self.cot, self._grad))
+        zeros = np.zeros(max(a.size for a in (self.x, *self.feats)))
+
+        def dot(a):
+            return partial(np.reshape(a, -1, copy=False).dot, zeros[:a.size])
+
+        self._x_dot, self._grad_dot = dot(self.x), dot(self._grad)
+        self._feat_dots = [(label, dot(a))
+                           for (label, _), a in zip(ends, self.feats)]
+        self._cot_dots = [dot(a) for a in self.cots]
 
     def run(self):
         if not math.isfinite(self._x_dot()):
             raise TensorError("model input contains non-finite elements")
         for f, args in self._fwd:
             f(*args)
-        if not math.isfinite(self._feat_dot()):
-            raise EngineError(f"{self._where}: non-finite activation at "
-                              f"{self._label!r}")
+        for label, dot in self._feat_dots:
+            if not math.isfinite(dot()):
+                raise EngineError(f"{self._where}: non-finite activation at "
+                                  f"{label!r}")
 
     def gradient(self):
-        if not math.isfinite(self._cot_dot()):
-            raise TensorError("cotangent contains non-finite elements")
+        for dot in self._cot_dots:
+            if not math.isfinite(dot()):
+                raise TensorError("cotangent contains non-finite elements")
         for f, args in self._bwd:
             f(*args)
         if not math.isfinite(self._grad_dot()):
@@ -920,11 +989,14 @@ class _Arena:
 
 def _arena(model, boundary_label, n=1):
     """The arena for the prefix up to ``boundary_label`` over a batch of
-    ``n`` inputs and a sized ``_Scratch``, sized by binding a probe arena
-    over a fresh one."""
+    ``n`` inputs, or, for a tuple of labels, deepest first, and a tuple of
+    counts, over n[i] rows of prefix i; its ``_Scratch`` is sized by
+    binding a probe arena over a fresh one."""
+    ends = (tuple(zip(boundary_label, n)) if isinstance(boundary_label, tuple)
+            else ((boundary_label, n),))
     probe = _Scratch()
-    _Arena(model, boundary_label, probe, n)
-    return _Arena(model, boundary_label, _Scratch(probe.need), n)
+    _Arena(model, ends, probe)
+    return _Arena(model, ends, _Scratch(probe.need))
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +1009,7 @@ def _run(model, x, upto, keep, what):
     outside ``keep`` that has died (``_bind_prefix``)."""
     acts = [None] * upto + [require_tensor(x, shape=model.input_shape,
                                            name="model input")[None]]
-    _bind_prefix(model, upto, acts, keep, _Scratch(), _call)
+    _bind_prefix(model, {upto - 1: 1}, acts, keep, _Scratch(), _call)
     if not np.isfinite(acts[upto - 1]).all():
         raise EngineError(f"model {model.name!r}: non-finite {what}")
     return acts

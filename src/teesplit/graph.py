@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from .tensors import read_json, write_text_atomic
+from .tensors import numpy_holds, read_json, write_text_atomic
 
 ELEMENT_SIZE = 4  # bytes per tensor element on the wire
 # bytes of im2col columns per conv forward block (see the engine's docstring)
@@ -255,6 +255,16 @@ def _index(value):
     return operator.index(value)
 
 
+def _holds(test, value):
+    """``test(value)``, False where testing ``value`` raises TypeError or
+    ValueError (a string, None, an array, a float where ``_index`` wants an
+    integer)."""
+    try:
+        return bool(test(value))
+    except (TypeError, ValueError):
+        return False
+
+
 def _check_params(name, kind, params):
     """Checked copy of ``params``, every value but ``init`` as an int."""
     spec = _PARAM_SPEC[kind]
@@ -408,13 +418,10 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     Raises GraphError on malformed references, shape mismatches, inputs too
     small for the downsampling chain, or partition points that cut a block.
     """
-    try:
-        dims = tuple(_index(d) for d in input_shape)
-    except TypeError:
-        dims = ()
-    if not dims or any(d < 1 for d in dims):
+    if not _holds(lambda s: len(s) and all(_index(d) >= 1 for d in s),
+                  input_shape):
         raise GraphError(f"model {name!r}: bad input shape {input_shape!r}")
-    input_shape = dims
+    input_shape = tuple(_index(d) for d in input_shape)
     if not layers:
         raise GraphError(f"model {name!r}: no layers")
 
@@ -435,11 +442,7 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
         params = _check_params(layer.name, layer.kind, layer.params)
         refs = _refs(layer, i)
         for key, ref in refs:
-            try:
-                ok = -1 <= _index(ref) < i
-            except TypeError:
-                ok = False
-            if not ok:
+            if not _holds(lambda r: -1 <= _index(r) < i, ref):
                 raise GraphError(f"layer {layer.name!r}: {key} {ref} must name "
                                  f"an earlier layer")
         least.append(min(ref for _, ref in refs))
@@ -449,6 +452,12 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
         source = None if layer.source is None else _index(layer.source)
         inferred.append(LayerSpec(layer.name, layer.kind, params, out_shape,
                                   source))
+        # as the engine holds them: float64, 8 bytes an element
+        for what, shape in [("output", out_shape), *weight_shapes(
+                inferred[-1]).items()]:
+            if not numpy_holds(shape, 8):
+                raise GraphError(f"layer {layer.name!r}: {what} shape {shape} "
+                                 f"is more than numpy can hold")
 
     pts = []
     seen_labels = set()

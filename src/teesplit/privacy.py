@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -26,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import engine
-from .graph import _index, mix_seed
+from .graph import _holds, _index, mix_seed
 from .tensors import csv_text, require_tensor
 
 DEFAULT_THRESHOLD = 0.2
@@ -38,14 +39,16 @@ class PrivacyError(ValueError):
 
 
 class InversionDivergenceError(RuntimeError):
-    """Attack loss became non-finite; carries the offending step index and
-    the index of the image (0 for a single map) whose loss it was."""
+    """Attack loss became non-finite; carries the offending step index, and
+    the boundary label and index in its stack (0 for a single map) of the
+    image whose loss it was."""
 
-    def __init__(self, step, image=0):
-        super().__init__(
-            f"attack loss of image {image} diverged at step {step}")
+    def __init__(self, step, image=0, boundary=None):
+        super().__init__(f"attack loss of image {image} at boundary "
+                         f"{boundary!r} diverged at step {step}")
         self.step = step
         self.image = image
+        self.boundary = boundary
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,6 @@ class PrivacyReport:
         return [lab for lab, _, _ in self.per_point]
 
 
-def _holds(test, value):
-    """``test(value)``, False where comparing ``value`` raises (a string,
-    None, an array)."""
-    try:
-        return bool(test(value))
-    except (TypeError, ValueError):
-        return False
-
-
 def _require_positive(name, value):
     if not _holds(lambda v: 0 < v < np.inf, value):
         raise PrivacyError(f"{name} must be finite and > 0, got {value!r}")
@@ -92,14 +86,10 @@ def _require_positive(name, value):
 
 def _window_size(size):
     """``size`` as an int, if it is an odd integer >= 3."""
-    try:
-        k = _index(size)
-    except TypeError:
-        k = 0
-    if k % 2 != 1 or k < 3:
+    if not _holds(lambda v: _index(v) % 2 == 1 and v >= 3, size):
         raise PrivacyError(f"window size must be an odd integer >= 3, "
                            f"got {size!r}")
-    return k
+    return _index(size)
 
 
 def gaussian_window(size, sigma):
@@ -151,9 +141,13 @@ def ssim(a, b, params=SsimParams()):
     return float(np.mean(num / den))
 
 
-# activations one attack arena may bind: a stack whose prefix activations
-# exceed it is attacked in consecutive arenas of as many whole maps as fit
-_ARENA_BYTES = 64 << 20
+# prefix activations one attack arena may bind, each map counting those of
+# its own boundary: maps beyond it are attacked in the next arena, one
+# arena after another. An arena this small stays near the core's cache,
+# and a refused candidate re-runs fewer other maps: one 64 MB arena over
+# 80 toy maps (4 boundaries x 20 images, 16x16) ran about 35 % slower than
+# arenas of 20 maps
+_ARENA_BYTES = 1 << 20
 
 
 def _activation_bytes(model, b):
@@ -170,93 +164,122 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
 
     ``exposed`` is one map, or a stack of N maps on a new leading axis with
     ``cfg.init_seed`` a tuple of N seeds; the result has the same leading
-    shape. A stack's maps are attacked together, over one bound prefix of
-    as many whole maps as ``_ARENA_BYTES`` holds (at least one; the arenas
-    run one after another), and each map's reconstruction is bitwise the
-    one a call with that map and its seed alone returns. Deterministic
-    given the config seed. Once every map's attack has stopped,
-    ``on_step(step, loss)`` is invoked for each step taken when provided,
-    inside the attack's ``np.errstate(over="ignore", invalid="ignore")``;
-    for a stack, ``loss`` is the maps' losses summed in stack order, a
-    stopped map's last one included. Raises PrivacyError for a malformed
-    config, before any work, and InversionDivergenceError, naming the step
-    and the map's index, if a loss turns non-finite (in a stack of several
+    shape. Or ``boundary_label`` is a nonempty tuple of distinct labels,
+    ``exposed`` a tuple of stacks, one per label, and ``cfg.init_seed`` a
+    tuple of seed tuples, one per stack; the result is then a tuple of
+    stacks. The maps are laid out deepest boundary first and packed into
+    bound prefixes (``engine._arena``) of as many maps as ``_ARENA_BYTES``
+    holds, each map counting the activations of its own prefix (at least
+    one map per arena; the arenas run one after another). Each map's
+    reconstruction is bitwise the one a call with that map and its seed
+    alone returns. Deterministic given the config seed. Once every map's
+    attack has stopped, ``on_step(step, loss)`` is invoked for each step
+    taken when provided, inside the attack's ``np.errstate(over="ignore",
+    invalid="ignore")``; for several maps, ``loss`` is their losses summed
+    in argument order (labels, then stack order), a stopped map's last one
+    included. Raises PrivacyError for a malformed config, before any work,
+    and InversionDivergenceError, naming the step, the map's boundary and
+    its index in its stack, if a loss turns non-finite (over several
     arenas, the first arena's to diverge).
     """
-    b = model.boundary_of(boundary_label)
-    shape = model.layers[b - 1].output_shape
-    stacked = np.ndim(exposed) == len(shape) + 1
-    target = require_tensor(exposed, name="exposed feature map",
-                            shape=np.shape(exposed)[:int(stacked)] + shape)
-    if not stacked:
-        target = target[None]
-    n = len(target)
+    many = isinstance(boundary_label, tuple)
+    labels = boundary_label if many else (boundary_label,)
+    bs = [model.boundary_of(label) for label in labels]
+    stacked = many or np.ndim(exposed) == len(
+        model.layers[bs[0] - 1].output_shape) + 1
+    stacks = exposed if many else (
+        exposed if stacked else np.asarray(exposed)[None],)
+    if not isinstance(stacks, tuple) or len(stacks) != len(bs):
+        raise PrivacyError(f"attack needs a tuple of one stack of maps per "
+                           f"label, got {type(exposed).__name__}")
+    targets = [require_tensor(t, name="exposed feature map", shape=np.shape(
+        t)[:1] + model.layers[b - 1].output_shape) for t, b in zip(stacks, bs)]
     try:
         lo, hi = cfg.pixel_bounds
-        seeds = [_index(s) for s in (cfg.init_seed if stacked
-                                     else (cfg.init_seed,))]
-        ok = -np.inf < lo < hi < np.inf and len(seeds) == n >= 1 and all(
-            s >= 0 for s in seeds)
+        seeds = [[_index(s) for s in group] for group in (
+            cfg.init_seed if many else
+            (cfg.init_seed if stacked else (cfg.init_seed,),))]
+        ok = (-np.inf < lo < hi < np.inf and _index(cfg.steps) >= 1
+              and 0 < cfg.step_size < np.inf
+              and 1 <= len(seeds) == len(bs) == len(set(bs))
+              and all(len(group) == len(t) >= 1 and min(group) >= 0
+                      for group, t in zip(seeds, targets)))
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise PrivacyError(f"attack needs finite increasing pixel bounds and "
-                           f"an integer init seed >= 0 per map, got "
-                           f"{cfg.pixel_bounds!r}, {cfg.init_seed!r}")
-    try:
-        steps = _index(cfg.steps)
-    except TypeError:
-        steps = 0
-    if steps < 1 or not _holds(lambda v: 0 < v < np.inf, cfg.step_size):
-        raise PrivacyError(f"attack needs integer steps >= 1 and a finite step "
-                           f"size > 0, got {cfg.steps!r}, {cfg.step_size!r}")
-    per = max(1, _ARENA_BYTES // _activation_bytes(model, b))
-    x = np.empty((n,) + model.input_shape)
+        raise PrivacyError(f"attack needs integer steps >= 1, a finite step "
+                           f"size > 0, finite increasing pixel bounds, "
+                           f"distinct labels and an integer init seed >= 0 "
+                           f"per map, got {boundary_label!r}, {cfg!r}")
+    # every map as (boundary, label index, image index), deepest boundary
+    # first, packed in turn into arenas of as many maps as fit
+    arenas, room = [], 0
+    for row in sorted(((b, j, i) for j, b in enumerate(bs)
+                       for i in range(len(targets[j]))), key=lambda r: -r[0]):
+        cost = _activation_bytes(model, row[0])
+        if cost > room:
+            arenas.append([])
+            room = _ARENA_BYTES
+        arenas[-1].append(row)
+        room -= cost
+    xs = [np.empty((len(t),) + model.input_shape) for t in targets]
     # overflow in the attack is the divergence signal, not an anomaly: every
     # non-finite loss, activation or gradient raises
     with np.errstate(over="ignore", invalid="ignore"):
         # each arena's maps' losses after each of its steps
-        runs = [_descend(model, boundary_label, target[i:i + per],
-                         seeds[i:i + per], x[i:i + per], cfg, steps, i)
-                for i in range(0, n, per)]
+        runs = [_descend(model, labels, rows, targets, seeds, xs, cfg,
+                         _index(cfg.steps)) for rows in arenas]
         if on_step is not None:
+            # each map's (arena, row), in argument order
+            order = sorted((j, i, a, p) for a, rows in enumerate(arenas)
+                           for p, (_, j, i) in enumerate(rows))
             for step in range(1, max(map(len, runs)) + 1):
-                on_step(step, sum(loss for run in runs
-                                  for loss in run[min(step, len(run)) - 1]))
-    return x if stacked else x[0]
+                on_step(step, sum(runs[a][min(step, len(runs[a])) - 1][p]
+                                  for _, _, a, p in order))
+    return tuple(xs) if many else xs[0] if stacked else xs[0][0]
 
 
-def _descend(model, boundary_label, target, seeds, x, cfg, steps, first):
-    """The attack on the maps ``target``, from the seeds ``seeds``, over one
-    arena, its accepted points written into ``x``; the first map is image
-    ``first`` of the caller's stack. Returns the maps' losses after each
-    step taken."""
-    n = len(target)
+def _descend(model, labels, rows, targets, seeds, xs, cfg, steps):
+    """The attack on the maps ``rows``, (boundary, label index, image index)
+    deepest boundary first, of ``targets``, each from its seed in
+    ``seeds``, over one arena; each map's accepted point goes to its row of
+    ``xs``. Returns the maps' losses after each step taken."""
+    n = len(rows)
     # a -0.0 bound becomes +0.0, so neither a start (lo + range * u) nor a
     # clipped pixel is ever -0.0, and x - d is -0.0 only when x is
     lo, hi = (bound + 0.0 for bound in cfg.pixel_bounds)
-    for row, seed in zip(x, seeds):
-        row[...] = np.random.default_rng(seed).uniform(lo, hi, row.shape)
-    # the prefix bound once over all n maps; the accepted points x live
+    # one run of rows per boundary, a label's consecutive images: an arena
+    # of one boundary keeps its accepted points x in place in ``xs``
+    runs = [list(run) for _, run in itertools.groupby(rows, lambda r: r[0])]
+    x = (xs[rows[0][1]][rows[0][2]:rows[-1][2] + 1] if len(runs) == 1
+         else np.empty((n,) + model.input_shape))
+    for row, (_, j, i) in zip(x, rows):
+        row[...] = np.random.default_rng(seeds[j][i]).uniform(lo, hi, row.shape)
+    # the prefixes bound once over all n maps; the accepted points x live
     # outside it, and each candidate is written into its row of the arena's
     # input and run there. A row not searching gets its x again, so a
     # re-run gives it the same activations, residual and loss
-    arena = engine._arena(model, boundary_label, n)
+    arena = engine._arena(model, *(
+        (labels[rows[0][1]], n) if len(runs) == 1 else
+        zip(*((labels[run[0][1]], len(run)) for run in runs))))
     np.copyto(arena.x, x)
-    # diff holds feat - target of the last run, whose square sq sums, row by
-    # row, to each map's loss
-    diff, sq = np.empty(target.shape), np.empty(target.shape)
-    rows = sq.reshape(n, -1)
+    # per boundary: its maps' targets, and diff, feat - target of the last
+    # run, whose square sq sums, row by row, to each map's loss
+    parts = [(targets[run[0][1]][run[0][2]:run[-1][2] + 1],
+              np.empty(feat.shape), np.empty(feat.shape), feat, cot)
+             for run, feat, cot in zip(runs, arena.feats, arena.cots)]
 
     def losses_of(step):
         # a row not searching re-runs its accepted point
         arena.run()
-        np.subtract(arena.feat, target, out=diff)
-        np.square(diff, out=sq)
-        got = np.add.reduce(rows, axis=1).tolist()
-        for i, value in enumerate(got):
+        got = []
+        for target, diff, sq, feat, _ in parts:
+            np.subtract(feat, target, out=diff)
+            np.square(diff, out=sq)
+            got += np.add.reduce(sq.reshape(len(sq), -1), axis=1).tolist()
+        for (_, j, i), value in zip(rows, got):
             if not math.isfinite(value):
-                raise InversionDivergenceError(step, first + i)
+                raise InversionDivergenceError(step, i, labels[j])
         return got
 
     # this round's step of each map, and the same values over an input
@@ -278,7 +301,8 @@ def _descend(model, boundary_label, target, seeds, x, cfg, steps, first):
             if refused:  # their rows last ran refused candidates
                 np.copyto(arena.x, x)
                 losses_of(step)
-            np.multiply(diff, 2.0, out=arena.cot)
+            for _, diff, _, _, cot in parts:
+                np.multiply(diff, 2.0, out=cot)
             grad = arena.gradient()
         stale = [k + 1 for k in stale]
         refused = []
@@ -309,6 +333,8 @@ def _descend(model, boundary_label, target, seeds, x, cfg, steps, first):
         history.append(list(loss))
         if min(stale) >= 20:
             break
+    for row, (_, j, i) in zip(x, rows):
+        xs[j][i] = row
     return history
 
 
@@ -344,45 +370,56 @@ def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
     return next((label for (label, _), ok in zip(scores, flags) if ok), None)
 
 
-def score_boundary(model, bi, images, cfg):
-    """Per-image similarity of the attack's reconstructions at the model's
-    ``bi``-th partition point. The images' exposed maps are attacked as one
-    stack, in one ``invert_feature_map`` call; image ``ii`` is attacked
-    from the seed ``mix_seed(cfg.init_seed, bi, ii)``."""
+def _scores(model, bis, images, cfg):
+    """Per-image similarity of the attack's reconstructions at each of the
+    model's partition points ``bis``, as one tuple per point. Every
+    point's images' exposed maps are attacked in one
+    ``invert_feature_map`` call, a stack per point; image ``ii`` at point
+    ``bi`` is attacked from the seed ``mix_seed(cfg.init_seed, bi, ii)``."""
     if not images:
         raise PrivacyError("need at least one image")
-    label = model.partition_points[bi][0]
-    maps = np.empty((len(images),)
-                    + model.layers[model.boundary_of(label) - 1].output_shape)
+    labels = tuple(model.partition_points[bi][0] for bi in bis)
+    stacks = tuple(np.empty((len(images),) + model.layers[
+        model.boundary_of(label) - 1].output_shape) for label in labels)
     # module-global lookups, so a wrapper set on this module sees each call
-    for row, img in zip(maps, images):
-        row[...] = engine.forward_until(model, img, label)
-    seeds = tuple(mix_seed(cfg.init_seed, bi, ii) for ii in range(len(images)))
-    recons = invert_feature_map(model, label, maps, replace(cfg, init_seed=seeds))
-    return tuple(ssim(recon, img) for recon, img in zip(recons, images))
+    for label, maps in zip(labels, stacks):
+        for row, img in zip(maps, images):
+            row[...] = engine.forward_until(model, img, label)
+    seeds = tuple(tuple(mix_seed(cfg.init_seed, bi, ii)
+                        for ii in range(len(images))) for bi in bis)
+    recons = invert_feature_map(model, labels, stacks,
+                                replace(cfg, init_seed=seeds))
+    return [tuple(ssim(r, img) for r, img in zip(rs, images)) for rs in recons]
+
+
+def score_boundary(model, bi, images, cfg):
+    """Per-image similarity of the attack's reconstructions at the model's
+    ``bi``-th partition point, as ``evaluate_privacy`` scores it."""
+    return _scores(model, (bi,), images, cfg)[0]
 
 
 def evaluate_privacy(model, images, cfg=AttackConfig(),
                      threshold=DEFAULT_THRESHOLD, slack=DEFAULT_SLACK):
     """Attack every partition point of the model over a set of images.
 
-    Per boundary: run the enclave prefix on each image, invert the exposed
-    map from a per-image seed derived from the config seed, and score the
-    reconstruction against the original. Returns the report with the
-    threshold-rule optimal boundary (None when nothing qualifies).
+    Run the enclave prefix on each image at every boundary, invert every
+    exposed map in one attack, each from a per-image seed derived from the
+    config seed and the boundary, and score each reconstruction against
+    its original. Returns the report with the threshold-rule optimal
+    boundary (None when nothing qualifies).
     """
     if not images:
         raise PrivacyError("need at least one image")
     _check_rule(threshold, slack)  # before the attacks, not after them
     imgs = [require_tensor(im, shape=model.input_shape, name="image")
             for im in images]
-    per_point = []
-    for bi, (label, _) in enumerate(model.partition_points):
-        sims = score_boundary(model, bi, imgs, cfg)
-        per_point.append((label, float(np.mean(sims)), sims))
+    labels = model.labels()
+    sims = _scores(model, range(len(labels)), imgs, cfg)
+    per_point = tuple((label, float(np.mean(s)), s)
+                      for label, s in zip(labels, sims))
     optimal = select_optimal_partition([(lab, m) for lab, m, _ in per_point],
                                        threshold, slack)
-    return PrivacyReport(model_name=model.name, per_point=tuple(per_point),
+    return PrivacyReport(model_name=model.name, per_point=per_point,
                          threshold=threshold, optimal_boundary=optimal)
 
 

@@ -41,6 +41,13 @@ def require_tensor(x, shape=None, name="tensor"):
     return arr
 
 
+def numpy_holds(shape, itemsize):
+    """Whether numpy can make an array of ``shape`` with ``itemsize``-byte
+    elements: it refuses one whose nonzero extents' product, in bytes,
+    overflows ``np.intp``, even when another extent is 0."""
+    return math.prod(d for d in shape if d) * itemsize <= np.iinfo(np.intp).max
+
+
 def write_bytes_atomic(path, data):
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
@@ -116,11 +123,9 @@ def tensor_from_bytes(data):
     if len(body) != 4 * n:
         raise TensorError(f"tensor data holds {len(body)} payload bytes, "
                           f"expected {4 * n}")
-    try:
-        arr = np.frombuffer(body, dtype="<f4").reshape(shape)
-    except ValueError:  # extents numpy cannot hold, even with no element
-        raise TensorError(f"implausible tensor extents {shape}") from None
-    return require_tensor(arr)
+    if not numpy_holds(shape, 4):
+        raise TensorError(f"implausible tensor extents {shape}")
+    return require_tensor(np.frombuffer(body, dtype="<f4").reshape(shape))
 
 
 def save_tensor(path, x):

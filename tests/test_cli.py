@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tomllib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,55 @@ def test_simulate_output_beyond_float32_exits_one(tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert not out_t.exists() and not ledger.exists()
+
+
+def test_model_sizes_numpy_cannot_hold_exit_one(tmp_path, capsys):
+    # a conv with 10**18 output channels (the next conv reads 10**18): its
+    # output and weights are more bytes than numpy can address, so the
+    # model is refused when the graph is made, before any array exists
+    huge = 10 ** 18
+    doc = {"name": "huge", "input_shape": [1, 8, 8],
+           "layers": [{"name": "c1", "kind": "Conv2d", "in_channels": 1,
+                       "out_channels": huge, "kernel": 3, "stride": 1,
+                       "padding": 1},
+                      {"name": "c2", "kind": "Conv2d", "in_channels": huge,
+                       "out_channels": 2, "kernel": 3, "stride": 1,
+                       "padding": 1},
+                      {"name": "f", "kind": "Flatten"}],
+           "partition_points": [{"label": "A", "boundary": 1},
+                                {"label": "B", "boundary": 2}]}
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps(doc))
+    x = tmp_path / "x.bin"
+    ts.save_tensor(x, np.zeros((1, 8, 8)))
+    for args in (["enumerate", "--model", str(model)],
+                 ["simulate", "--model", str(model), "--boundary", "A",
+                  "--profile", "builtin:vgg16", "--input", str(x)]):
+        tracemalloc.start()
+        try:
+            code = run(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1, args[0]
+        captured = capsys.readouterr()
+        assert captured.out == "", args[0]
+        assert captured.err == ("error: layer 'c1': output shape "
+                                f"({huge}, 8, 8) is more than numpy can "
+                                "hold\n"), args[0]
+        assert peak < 1 << 20, (args[0], peak)
+    # weights alone can be too many: a 1x1 conv from 2 channels to 10**18
+    # has an output numpy holds (8e18 bytes) and 2e18 weights it does not
+    doc["input_shape"] = [1, 1, 1]
+    for layer in doc["layers"][:2]:
+        layer.update(kernel=1, padding=0)
+    doc["layers"][0]["out_channels"] = doc["layers"][1]["in_channels"] = 2
+    doc["layers"][1]["out_channels"] = huge
+    model.write_text(json.dumps(doc))
+    assert run(["enumerate", "--model", str(model)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: layer 'c2': w shape ({huge}, 2, 1, 1) is more than numpy "
+        "can hold\n")
 
 
 @pytest.mark.filterwarnings("error")  # no numpy warning precedes the error

@@ -940,6 +940,97 @@ def test_col2im_planes_are_zeroed_once(toy4):
             ts.input_gradient(m, "Z", x, ct).tobytes()
 
 
+def _with_nested_points(m, rng):
+    """``m`` with partition points at up to three random boundaries no
+    reference crosses, below its last one, "Z"."""
+    z = m.boundary_of("Z")
+    cuts = [b for b in range(1, z)
+            if all(min(st.refs) >= b - 1 for st in m.schedule[b:])]
+    pick = sorted(rng.permutation(cuts)[:int(rng.integers(1, 4))])
+    return ts.make_graph(m.name, m.input_shape, m.layers,
+                         [(f"P{b}", int(b)) for b in pick] + [("Z", z)])
+
+
+def _match_single_arenas(m, labels, counts, xs, rng):
+    """Run and differentiate ``xs`` in one arena over ``labels``, deepest
+    first, with ``counts`` rows each, and check each boundary's rows, feat
+    and gradient, against an arena of that boundary alone."""
+    arena = engine._arena(m, labels, counts)
+    singles = [engine._arena(m, label, n) for label, n in zip(labels, counts)]
+    for x in xs:  # the arena runs again over arrays its last run wrote
+        cts = [rng.standard_normal(c.shape) for c in arena.cots]
+        np.copyto(arena.x, x)
+        arena.run()
+        for cot, ct in zip(arena.cots, cts):
+            np.copyto(cot, ct)
+        g = arena.gradient()
+        start = 0
+        for label, single, feat, ct in zip(labels, singles, arena.feats, cts):
+            rows = slice(start, start + len(single.x))
+            np.copyto(single.x, x[rows])
+            single.run()
+            assert single.feat.tobytes() == feat.tobytes(), (label, m.layers)
+            np.copyto(single.cot, ct)
+            assert single.gradient().tobytes() == g[rows].tobytes(), \
+                (label, m.layers)
+            start = rows.stop
+
+
+def test_ragged_arenas_match_single_boundary_arenas_bitwise():
+    # one arena over every boundary of a random model, deepest first, each
+    # layer bound once over the rows of the boundaries at or beyond it:
+    # each boundary's feats and gradients equal an arena of its own. The
+    # models hold residual Adds, overlapping max pools (k3/s2/p1, k3/s1/p1)
+    # and padded readers of a boundary slot the schedule would border,
+    # which the ragged arena stores unbordered; inputs of five levels give
+    # the pools ties
+    rng = np.random.default_rng(81)
+    pools = ((2, 2, 0), (3, 2, 1), (3, 1, 1))
+    seen = set()
+    for _ in range(40):
+        m = _with_nested_points(build_random_model(rng, pools), rng)
+        labels = tuple(reversed(m.labels()))
+        counts = tuple(int(rng.integers(1, 3)) for _ in labels)
+        shape = (sum(counts),) + m.input_shape
+        _match_single_arenas(m, labels, counts,
+                             [rng.uniform(0.05, 0.95, shape),
+                              rng.integers(0, 5, shape) / 4.0], rng)
+        z = m.boundary_of("Z")
+        for st in m.schedule[:z]:
+            if st.kind == ts.ADD:
+                seen.add("add")
+            if st.kind == ts.MAXPOOL and st.kernel > st.stride:
+                seen.add("overlapping pool")
+        if any(m.schedule[b].bordered for _, b in m.partition_points[:-1]):
+            seen.add("padded reader of a boundary")
+    assert seen == {"add", "overlapping pool", "padded reader of a boundary"}
+    # toy4's L3 is read by block4.conv, which pads it
+    toy = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=5)
+    assert toy.schedule[toy.boundary_of("L3")].bordered
+    shape = (7,) + toy.input_shape
+    _match_single_arenas(toy, ("L4", "L3", "L2", "L1"), (2, 1, 3, 1),
+                         [rng.uniform(0.0, 1.0, shape) for _ in range(2)], rng)
+
+
+def test_ragged_arena_binds_each_layer_once(toy4):
+    # toy4's four boundaries at N = 2 bind 54 forward and 95 backward ops
+    # in four arenas, 22 and 38 in one: every layer binds once, over the
+    # rows of the boundaries at or beyond it. Its one forward op more than
+    # L4 alone copies L3, a boundary slot and so unbordered, into the
+    # bordered scratch block4.conv pads, over L4's two rows
+    singles = [engine._arena(toy4, label, 2) for label in toy4.labels()]
+    assert ([len(a._fwd) for a in singles], [len(a._bwd) for a in singles]) \
+        == ([5, 11, 17, 21], [6, 19, 32, 38])
+    arena = engine._arena(toy4, ("L4", "L3", "L2", "L1"), (2, 2, 2, 2))
+    assert (len(arena._fwd), len(arena._bwd)) == (22, 38)
+    l3 = arena.acts[toy4.boundary_of("L3") - 1]
+    copies = [args for f, args in arena._fwd
+              if f is np.copyto and np.shares_memory(args[1], l3)]
+    assert [src.shape for _, src in copies] == [(2,) + l3.shape[1:]]
+    assert l3.base is None and len(l3) == 4
+    assert [len(f) for f in arena.feats] == [2] * 4
+
+
 def _raised(f):
     with pytest.raises((ts.TensorError, ts.EngineError)) as info:
         with np.errstate(over="ignore", invalid="ignore"):

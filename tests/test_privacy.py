@@ -339,7 +339,8 @@ def pushing_run(monkeypatch, limits, push):
     """Replace ``engine._Arena.run``: once map r of a stack has run on
     ``limits[r]`` distinct inputs, every new input it runs on gets its
     boundary activation raised by ``push``. A stack's maps are its arenas'
-    rows counted in the order the arenas first run. The rule reads only a
+    rows counted in the order the arenas first run (an arena over several
+    boundaries lays them out deepest first). The rule reads only a
     map's own inputs, which a stack's row and a single map's attack see in
     the same order (a row re-run on an input it ran before is treated as
     before), so stacked and single attacks meet it alike. And
@@ -359,7 +360,8 @@ def pushing_run(monkeypatch, limits, push):
                 break
             first += len(a.x)
         pushed = []
-        for r, (x, feat) in enumerate(zip(arena.x, arena.feat), first):
+        feats = (row for feat in arena.feats for row in feat)
+        for r, (x, feat) in enumerate(zip(arena.x, feats), first):
             seen = state["seen"].setdefault(r, [])
             if x.tobytes() not in seen:
                 seen.append(x.tobytes())
@@ -540,8 +542,9 @@ def test_stack_larger_than_one_arena_runs_arenas_in_turn(monkeypatch):
 def test_evaluate_privacy_attacks_each_boundary_in_one_call(monkeypatch):
     # the call contract the benchmark's inversion timer relies on:
     # evaluate_privacy reaches invert_feature_map through the privacy
-    # module's global, once per boundary, with four positional arguments,
-    # the images' maps stacked and one mix_seed per image
+    # module's global, once per evaluation, with four positional arguments:
+    # every label, one stack of the images' maps per label, and one
+    # mix_seed per map
     m = ts.build_toy_cnn(points=3, input_shape=(1, 16, 16), seed=2)
     images = smooth_images(3, (1, 16, 16), seed=4)
     cfg = ts.AttackConfig(steps=5, init_seed=6)
@@ -553,14 +556,133 @@ def test_evaluate_privacy_attacks_each_boundary_in_one_call(monkeypatch):
 
     monkeypatch.setattr(ts.privacy, "invert_feature_map", recorded)
     rep = ts.evaluate_privacy(m, images, cfg)
-    assert len(calls) == len(m.partition_points)
-    for bi, ((model, label, maps, sub), kwargs) in enumerate(calls):
-        assert kwargs == {} and model is m and label == m.labels()[bi]
-        assert maps.shape == (3,) + m.layers[m.boundary_of(label) - 1].output_shape
-        assert sub == replace(cfg, init_seed=tuple(
-            ts.mix_seed(6, bi, ii) for ii in range(3)))
+    assert len(calls) == 1
+    (model, labels, stacks, sub), kwargs = calls[0]
+    assert kwargs == {} and model is m and labels == tuple(m.labels())
+    assert [maps.shape for maps in stacks] == [
+        (3,) + m.layers[m.boundary_of(label) - 1].output_shape
+        for label in labels]
+    for label, maps in zip(labels, stacks):
+        for img, f in zip(images, maps):
+            assert f.tobytes() == ts.forward_until(m, img, label).tobytes()
+    assert sub == replace(cfg, init_seed=tuple(
+        tuple(ts.mix_seed(6, bi, ii) for ii in range(3)) for bi in range(3)))
     monkeypatch.setattr(ts.privacy, "invert_feature_map", inner)
     assert ts.evaluate_privacy(m, images, cfg) == rep
+
+
+def test_inversions_at_several_boundaries_pack_rows_deepest_first(
+        monkeypatch):
+    # toy4's four boundaries, three maps each, given shallowest first: the
+    # rows are packed deepest first into arenas whose maps' own prefix
+    # activations fit _ARENA_BYTES, an arena of one boundary bound as one,
+    # and each map's result and the summed losses (labels, then stack
+    # order) are those of its attack alone; map 1 at L2 stops early
+    m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+    images = smooth_images(3, m.input_shape, seed=19)
+    labels = ("L1", "L2", "L3", "L4")
+    cost = {label: ts.privacy._activation_bytes(m, m.boundary_of(label))
+            for label in labels}
+    assert [cost[label] for label in labels] == [34816, 47104, 49664, 50688]
+    monkeypatch.setattr(ts.privacy, "_ARENA_BYTES",
+                        2 * cost["L4"] + cost["L3"])
+    bind, binds = engine._arena, []
+    monkeypatch.setattr(engine, "_arena", lambda *args: (
+        binds.append(args[1:]), bind(*args))[1])
+    stacks = tuple(np.stack([ts.forward_until(m, x, label) for x in images])
+                   for label in labels)
+    seeds = ((4, 0, 9), (1, 2, 3), (7, 7, 5), (0, 11, 6))
+    limits = [np.inf] * 12
+    limits[7] = 5  # deepest first: L4's rows are 0-2, L3's 3-5, L2's 6-8
+    reset = pushing_run(monkeypatch, limits, 1e3)
+    cfg = ts.AttackConfig(steps=40, step_size=0.5, init_seed=seeds)
+    got = []
+    recons = ts.invert_feature_map(m, labels, stacks, cfg,
+                                   lambda s, l: got.append((s, l)))
+    assert binds == [("L4", 2), (("L4", "L3"), (1, 2)),
+                     (("L3", "L2"), (1, 2)), (("L2", "L1"), (1, 2)),
+                     ("L1", 1)]
+    singles = []
+    for label, maps, group in zip(labels, stacks, seeds):
+        for ii, (f, seed) in enumerate(zip(maps, group)):
+            reset([5 if (label, ii) == ("L2", 1) else np.inf])
+            losses = []
+            r = ts.invert_feature_map(m, label, f, replace(cfg, init_seed=seed),
+                                      lambda s, l: losses.append(l))
+            singles.append((r, losses))
+    assert [len(recon) for recon in recons] == [3] * 4
+    assert_stack_matches_singles(np.concatenate(recons), got, singles)
+    lengths = [len(losses) for _, losses in singles]
+    assert lengths[4] < 40 and max(lengths) == 40, lengths
+
+
+def test_inversions_at_several_boundaries_name_the_diverging_map(
+        monkeypatch):
+    # the map of image 1 at L2, row 5 of the arena, overflows the loss from
+    # its 4th distinct input on: the error names its boundary, its index in
+    # its stack and the step its attack alone diverges at
+    m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+    images = smooth_images(2, m.input_shape, seed=20)
+    labels = tuple(m.labels())
+    stacks = tuple(np.stack([ts.forward_until(m, x, label) for x in images])
+                   for label in labels)
+    cfg = ts.AttackConfig(steps=30, step_size=0.05,
+                          init_seed=((0, 1), (2, 3), (4, 5), (6, 7)))
+    limits = [np.inf] * 8
+    limits[5] = 3
+    reset = pushing_run(monkeypatch, limits, 1e200)
+    with pytest.raises(ts.InversionDivergenceError) as many:
+        ts.invert_feature_map(m, labels, stacks, cfg)
+    reset([3])
+    with pytest.raises(ts.InversionDivergenceError) as single:
+        ts.invert_feature_map(m, "L2", stacks[1][1], replace(cfg, init_seed=3))
+    assert (many.value.boundary, many.value.image) == ("L2", 1)
+    assert (single.value.boundary, single.value.image) == ("L2", 0)
+    assert many.value.step == single.value.step > 0
+    assert "image 1 at boundary 'L2'" in str(many.value)
+
+
+@pytest.mark.parametrize("labels, exposed, seeds", [
+    pytest.param(("A", "B"), "one", ((1,), (2,)), id="a-map-not-a-tuple"),
+    pytest.param(("A", "B"), "three", ((1,), (2,)), id="three-stacks-for-two"),
+    pytest.param(("A", "B"), "two", ((1,), (2, 3)), id="seeds-per-stack"),
+    pytest.param(("A", "B"), "two", (1, 2), id="seeds-not-tuples"),
+    pytest.param(("A", "B"), "two", ((1,),), id="one-seed-tuple"),
+    pytest.param(("A", "B"), "empty", ((), (2,)), id="an-empty-stack"),
+    pytest.param(("A", "A"), "twice", ((1,), (2,)), id="a-label-twice"),
+    pytest.param((), "none", (), id="no-labels")])
+def test_inversions_at_several_boundaries_reject_bad_stacks(
+        labels, exposed, seeds, monkeypatch):
+    m = shallow_wide_model()
+
+    def no_work(*args):
+        raise AssertionError("the attack bound its prefix before checking")
+
+    monkeypatch.setattr(engine, "_arena", no_work)
+    maps = [np.zeros((1,) + m.layers[b - 1].output_shape)
+            for _, b in m.partition_points]
+    exposed = {"one": maps[0], "three": (maps[0], maps[1], maps[1]),
+               "two": tuple(maps), "empty": (maps[0][:0], maps[1]),
+               "twice": (maps[0], maps[0]), "none": ()}[exposed]
+    with pytest.raises(ts.PrivacyError):
+        ts.invert_feature_map(m, labels, exposed,
+                              ts.AttackConfig(init_seed=seeds))
+
+
+def test_evaluate_privacy_matches_score_boundary_on_gate_six_models():
+    # gate 6's five toy CNNs and attack settings, over four images: the one
+    # attack over every boundary scores each image as score_boundary, one
+    # boundary at a time, does, bit for bit
+    cfg = ts.AttackConfig(steps=120, step_size=0.05, init_seed=7)
+    for seed in (1, 2, 3, 4, 5):
+        m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=seed)
+        images = smooth_images(4, (1, 16, 16), seed=100 + seed)
+        report = ts.evaluate_privacy(m, images, cfg)
+        for bi, (label, mean, sims) in enumerate(report.per_point):
+            alone = ts.privacy.score_boundary(m, bi, images, cfg)
+            assert [s.hex() for s in sims] == [s.hex() for s in alone], \
+                (seed, label)
+            assert mean == float(np.mean(alone))
 
 
 def test_inversion_rejects_wrong_target_shape():
