@@ -28,7 +28,7 @@ from .charts import sweep_chart_svg
 from .costs import (CalibrationError, builtin_profile, calibrate, load_profile,
                     predict, profile_to_json)
 from .engine import EngineError
-from .graph import GraphError, _holds, enumerate_partitions, model_to_json
+from .graph import GraphError, enumerate_partitions, model_to_json
 from .pipeline import LedgerViolationError, simulate_pipeline
 from .planner import PlanError, PlanRequest, plan, plan_table_csv
 from .privacy import (DEFAULT_SLACK, DEFAULT_THRESHOLD, AttackConfig,
@@ -59,10 +59,13 @@ def _default_seed():
 
 
 def _shape(text):
-    if not _holds(lambda t: all(int(d) >= 1 for d in t.lower().split("x")),
-                  text):
+    try:
+        dims = tuple(int(d) for d in text.lower().split("x"))
+    except ValueError:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}, expected CxHxW")
-    return tuple(int(d) for d in text.lower().split("x"))
+    if not dims or any(d < 1 for d in dims):
+        raise argparse.ArgumentTypeError(f"bad shape {text!r}, expected CxHxW")
+    return dims
 
 
 def _emit(out, text):
@@ -268,16 +271,6 @@ def _cmd_report(args):
     return 0
 
 
-def _command(sub, name, fn, help, model=True):
-    """Subcommand ``name`` running ``fn``, with the model flags unless not
-    ``model``."""
-    p = sub.add_parser(name, help=help)
-    if model:
-        _add_model_flags(p)
-    p.set_defaults(fn=fn)
-    return p
-
-
 def _build_parser():
     parser = _Parser(prog="teesplit",
                      description="Privacy-aware partitioning of CNN inference "
@@ -285,58 +278,69 @@ def _build_parser():
                                  "accelerator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "build", _cmd_build, "emit a model graph as JSON")
+    p = sub.add_parser("build", help="emit a model graph as JSON")
+    _add_model_flags(p)
     p.add_argument("--out", help="output path (default stdout)")
+    p.set_defaults(fn=_cmd_build)
 
-    p = _command(sub, "enumerate", _cmd_enumerate,
-                 "list partition points and exposure")
+    p = sub.add_parser("enumerate", help="list partition points and exposure")
+    _add_model_flags(p)
     p.add_argument("--out")
+    p.set_defaults(fn=_cmd_enumerate)
 
-    p = _command(sub, "calibrate", _cmd_calibrate,
-                 "fit a cost profile from measurements")
+    p = sub.add_parser("calibrate", help="fit a cost profile from measurements")
+    _add_model_flags(p)
     p.add_argument("--measurements", required=True,
                    help="CSV with label,total_seconds rows")
     p.add_argument("--full-enclave", type=float, required=True)
     p.add_argument("--full-accelerator", type=float, required=True)
     p.add_argument("--out")
+    p.set_defaults(fn=_cmd_calibrate)
 
-    p = _command(sub, "predict", _cmd_predict,
-                 "runtime breakdown per partition point")
+    p = sub.add_parser("predict", help="runtime breakdown per partition point")
+    _add_model_flags(p)
     p.add_argument("--profile", required=True,
                    help="profile JSON path or builtin:<arch>")
     p.add_argument("--boundary", help="single partition point (default: all)")
     p.add_argument("--out")
+    p.set_defaults(fn=_cmd_predict)
 
-    p = _command(sub, "attack", _cmd_attack,
-                 "invert the exposed map at one boundary")
+    p = sub.add_parser("attack", help="invert the exposed map at one boundary")
+    _add_model_flags(p)
     p.add_argument("--boundary", required=True)
     _add_attack_flags(p)
     p.add_argument("--out")
+    p.set_defaults(fn=_cmd_attack)
 
-    p = _command(sub, "evaluate", _cmd_evaluate,
-                 "attack every boundary and pick the optimal partition point")
+    p = sub.add_parser("evaluate", help="attack every boundary and pick the "
+                                        "optimal partition point")
+    _add_model_flags(p)
     _add_attack_flags(p)
     p.add_argument("--out")
     p.add_argument("--svg", help="also render the similarity curve")
+    p.set_defaults(fn=_cmd_evaluate)
 
-    p = _command(sub, "plan", _cmd_plan,
-                 "choose a partition from privacy scores and a cost profile")
+    p = sub.add_parser("plan", help="choose a partition from privacy scores "
+                                    "and a cost profile")
+    _add_model_flags(p)
     p.add_argument("--profile", required=True)
     p.add_argument("--privacy", required=True, help="privacy report CSV")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     p.add_argument("--out")
+    p.set_defaults(fn=_cmd_plan)
 
-    p = _command(sub, "simulate", _cmd_simulate,
-                 "run split inference with trust accounting")
+    p = sub.add_parser("simulate", help="run split inference with trust "
+                                        "accounting")
+    _add_model_flags(p)
     p.add_argument("--boundary", required=True)
     p.add_argument("--input", required=True, help="input tensor or image file")
     p.add_argument("--profile", required=True)
     p.add_argument("--out-tensor", help="write the output tensor here")
     p.add_argument("--ledger", help="write the trust ledger CSV here")
+    p.set_defaults(fn=_cmd_simulate)
 
-    p = _command(sub, "report", _cmd_report,
-                 "render privacy/runtime charts as SVG", model=False)
+    p = sub.add_parser("report", help="render privacy/runtime charts as SVG")
     p.add_argument("--privacy", required=True)
     p.add_argument("--model")
     p.add_argument("--input-shape", type=_shape, default=None, metavar="CxHxW")
@@ -344,6 +348,7 @@ def _build_parser():
     p.add_argument("--profile")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--out", required=True)
+    p.set_defaults(fn=_cmd_report)
 
     return parser
 

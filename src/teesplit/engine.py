@@ -987,13 +987,10 @@ class _Arena:
         return self._grad
 
 
-def _arena(model, boundary_label, n=1):
-    """The arena for the prefix up to ``boundary_label`` over a batch of
-    ``n`` inputs, or, for a tuple of labels, deepest first, and a tuple of
-    counts, over n[i] rows of prefix i; its ``_Scratch`` is sized by
-    binding a probe arena over a fresh one."""
-    ends = (tuple(zip(boundary_label, n)) if isinstance(boundary_label, tuple)
-            else ((boundary_label, n),))
+def _arena(model, ends):
+    """The arena over ``ends``, ((boundary label, rows), ...) deepest first
+    (``_Arena``), and a sized ``_Scratch``, sized by binding a probe arena
+    over a fresh one."""
     probe = _Scratch()
     _Arena(model, ends, probe)
     return _Arena(model, ends, _Scratch(probe.need))

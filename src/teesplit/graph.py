@@ -255,16 +255,6 @@ def _index(value):
     return operator.index(value)
 
 
-def _holds(test, value):
-    """``test(value)``, False where testing ``value`` raises TypeError or
-    ValueError (a string, None, an array, a float where ``_index`` wants an
-    integer)."""
-    try:
-        return bool(test(value))
-    except (TypeError, ValueError):
-        return False
-
-
 def _check_params(name, kind, params):
     """Checked copy of ``params``, every value but ``init`` as an int."""
     spec = _PARAM_SPEC[kind]
@@ -418,10 +408,13 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
     Raises GraphError on malformed references, shape mismatches, inputs too
     small for the downsampling chain, or partition points that cut a block.
     """
-    if not _holds(lambda s: len(s) and all(_index(d) >= 1 for d in s),
-                  input_shape):
+    try:
+        dims = tuple(_index(d) for d in input_shape)
+    except TypeError:
+        dims = ()
+    if not dims or any(d < 1 for d in dims):
         raise GraphError(f"model {name!r}: bad input shape {input_shape!r}")
-    input_shape = tuple(_index(d) for d in input_shape)
+    input_shape = dims
     if not layers:
         raise GraphError(f"model {name!r}: no layers")
 
@@ -442,7 +435,11 @@ def make_graph(name, input_shape, layers, partition_points, units=()):
         params = _check_params(layer.name, layer.kind, layer.params)
         refs = _refs(layer, i)
         for key, ref in refs:
-            if not _holds(lambda r: -1 <= _index(r) < i, ref):
+            try:
+                ok = -1 <= _index(ref) < i
+            except TypeError:
+                ok = False
+            if not ok:
                 raise GraphError(f"layer {layer.name!r}: {key} {ref} must name "
                                  f"an earlier layer")
         least.append(min(ref for _, ref in refs))

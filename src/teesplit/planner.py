@@ -92,7 +92,18 @@ def plan(req):
         if feasible and (best is None
                          or breakdown.total_seconds < best.breakdown.total_seconds):
             best = alternatives[-1]
-    return _plan_of(req, best, alternatives)
+
+    if best is None:
+        return PartitionPlan(
+            model_name=req.model_name, chosen_boundary=None,
+            breakdown=full_enclave_breakdown(req.profile), privacy_score=None,
+            full_enclave_seconds=req.profile.full_enclave_seconds,
+            alternatives=tuple(alternatives))
+    return PartitionPlan(
+        model_name=req.model_name, chosen_boundary=best.boundary_label,
+        breakdown=best.breakdown, privacy_score=best.mean_ssim,
+        full_enclave_seconds=req.profile.full_enclave_seconds,
+        alternatives=tuple(alternatives))
 
 
 def brute_force_plan(req):
@@ -116,24 +127,20 @@ def brute_force_plan(req):
             breakdown=predict(req.profile, req.assignments[i])))
 
     if not feasible_idx:
-        return _plan_of(req, None, alternatives)
+        return PartitionPlan(
+            model_name=req.model_name, chosen_boundary=None,
+            breakdown=full_enclave_breakdown(req.profile), privacy_score=None,
+            full_enclave_seconds=req.profile.full_enclave_seconds,
+            alternatives=tuple(alternatives))
     best = feasible_idx[0]
     for i in feasible_idx[1:]:
         if (alternatives[i].breakdown.total_seconds
                 < alternatives[best].breakdown.total_seconds):
             best = i
-    return _plan_of(req, alternatives[best], alternatives)
-
-
-def _plan_of(req, best, alternatives):
-    """The plan choosing Alternative ``best``, or the whole model in the
-    enclave when ``best`` is None."""
+    alt = alternatives[best]
     return PartitionPlan(
-        model_name=req.model_name,
-        chosen_boundary=None if best is None else best.boundary_label,
-        breakdown=(full_enclave_breakdown(req.profile) if best is None
-                   else best.breakdown),
-        privacy_score=None if best is None else best.mean_ssim,
+        model_name=req.model_name, chosen_boundary=alt.boundary_label,
+        breakdown=alt.breakdown, privacy_score=alt.mean_ssim,
         full_enclave_seconds=req.profile.full_enclave_seconds,
         alternatives=tuple(alternatives))
 

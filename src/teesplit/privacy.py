@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import engine
-from .graph import _holds, _index, mix_seed
+from .graph import _index, mix_seed
 from .tensors import csv_text, require_tensor
 
 DEFAULT_THRESHOLD = 0.2
@@ -43,7 +43,7 @@ class InversionDivergenceError(RuntimeError):
     the boundary label and index in its stack (0 for a single map) of the
     image whose loss it was."""
 
-    def __init__(self, step, image=0, boundary=None):
+    def __init__(self, step, image, boundary):
         super().__init__(f"attack loss of image {image} at boundary "
                          f"{boundary!r} diverged at step {step}")
         self.step = step
@@ -79,6 +79,15 @@ class PrivacyReport:
         return [lab for lab, _, _ in self.per_point]
 
 
+def _holds(test, value):
+    """``test(value)``, False where comparing ``value`` raises (a string,
+    None, an array)."""
+    try:
+        return bool(test(value))
+    except (TypeError, ValueError):
+        return False
+
+
 def _require_positive(name, value):
     if not _holds(lambda v: 0 < v < np.inf, value):
         raise PrivacyError(f"{name} must be finite and > 0, got {value!r}")
@@ -86,10 +95,14 @@ def _require_positive(name, value):
 
 def _window_size(size):
     """``size`` as an int, if it is an odd integer >= 3."""
-    if not _holds(lambda v: _index(v) % 2 == 1 and v >= 3, size):
+    try:
+        k = _index(size)
+    except TypeError:
+        k = 0
+    if k % 2 != 1 or k < 3:
         raise PrivacyError(f"window size must be an odd integer >= 3, "
                            f"got {size!r}")
-    return _index(size)
+    return k
 
 
 def gaussian_window(size, sigma):
@@ -143,11 +156,15 @@ def ssim(a, b, params=SsimParams()):
 
 # prefix activations one attack arena may bind, each map counting those of
 # its own boundary: maps beyond it are attacked in the next arena, one
-# arena after another. An arena this small stays near the core's cache,
-# and a refused candidate re-runs fewer other maps: one 64 MB arena over
-# 80 toy maps (4 boundaries x 20 images, 16x16) ran about 35 % slower than
-# arenas of 20 maps
-_ARENA_BYTES = 1 << 20
+# arena after another
+_ARENA_BYTES = 64 << 20
+# and an arena over several boundaries binds at most this: sharing each
+# layer's ops saves their fixed cost, which pays only while the rows are
+# few. On toy4 at 16x16 (run plus gradient over four boundaries, best of
+# five 300-pass loops, one BLAS thread, 2-vCPU x86-64), one arena took
+# 401-451 us against 451-494 us for four at 2 rows each, 603-607 against
+# 601-610 at 3 and 2235-2300 against 1855-1929 at 10
+_RAGGED_BYTES = 1 << 19
 
 
 def _activation_bytes(model, b):
@@ -155,6 +172,26 @@ def _activation_bytes(model, b):
     share of an arena's activations, before pooling."""
     return 8 * (math.prod(model.input_shape) + sum(
         math.prod(layer.output_shape) for layer in model.layers[:b]))
+
+
+def _pack(model, bs, counts):
+    """Arenas for counts[j] maps at each boundary bs[j]: lists of rows,
+    (boundary, j, image index), deepest boundary first, each filled in turn
+    while its maps' activations, each map's of its own prefix, fit
+    ``_ARENA_BYTES``, or ``_RAGGED_BYTES`` once it holds several
+    boundaries; at least one map per arena."""
+    arenas, held = [], 0
+    for row in sorted(((b, j, i) for j, (b, n) in enumerate(zip(bs, counts))
+                       for i in range(n)), key=lambda r: -r[0]):
+        cost = _activation_bytes(model, row[0])
+        cap = (_ARENA_BYTES if arenas and arenas[-1][0][0] == row[0]
+               else _RAGGED_BYTES)
+        if not arenas or held + cost > cap:
+            arenas.append([])
+            held = 0
+        arenas[-1].append(row)
+        held += cost
+    return arenas
 
 
 def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
@@ -169,8 +206,9 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     tuple of seed tuples, one per stack; the result is then a tuple of
     stacks. The maps are laid out deepest boundary first and packed into
     bound prefixes (``engine._arena``) of as many maps as ``_ARENA_BYTES``
-    holds, each map counting the activations of its own prefix (at least
-    one map per arena; the arenas run one after another). Each map's
+    holds, or the smaller ``_RAGGED_BYTES`` for an arena over several
+    boundaries, each map counting the activations of its own prefix (at
+    least one map per arena; the arenas run one after another). Each map's
     reconstruction is bitwise the one a call with that map and its seed
     alone returns. Deterministic given the config seed. Once every map's
     attack has stopped, ``on_step(step, loss)`` is invoked for each step
@@ -211,17 +249,7 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
                            f"size > 0, finite increasing pixel bounds, "
                            f"distinct labels and an integer init seed >= 0 "
                            f"per map, got {boundary_label!r}, {cfg!r}")
-    # every map as (boundary, label index, image index), deepest boundary
-    # first, packed in turn into arenas of as many maps as fit
-    arenas, room = [], 0
-    for row in sorted(((b, j, i) for j, b in enumerate(bs)
-                       for i in range(len(targets[j]))), key=lambda r: -r[0]):
-        cost = _activation_bytes(model, row[0])
-        if cost > room:
-            arenas.append([])
-            room = _ARENA_BYTES
-        arenas[-1].append(row)
-        room -= cost
+    arenas = _pack(model, bs, [len(t) for t in targets])
     xs = [np.empty((len(t),) + model.input_shape) for t in targets]
     # overflow in the attack is the divergence signal, not an anomaly: every
     # non-finite loss, activation or gradient raises
@@ -259,9 +287,8 @@ def _descend(model, labels, rows, targets, seeds, xs, cfg, steps):
     # outside it, and each candidate is written into its row of the arena's
     # input and run there. A row not searching gets its x again, so a
     # re-run gives it the same activations, residual and loss
-    arena = engine._arena(model, *(
-        (labels[rows[0][1]], n) if len(runs) == 1 else
-        zip(*((labels[run[0][1]], len(run)) for run in runs))))
+    arena = engine._arena(model, tuple((labels[run[0][1]], len(run))
+                                       for run in runs))
     np.copyto(arena.x, x)
     # per boundary: its maps' targets, and diff, feat - target of the last
     # run, whose square sq sums, row by row, to each map's loss
@@ -372,24 +399,39 @@ def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
 
 def _scores(model, bis, images, cfg):
     """Per-image similarity of the attack's reconstructions at each of the
-    model's partition points ``bis``, as one tuple per point. Every
-    point's images' exposed maps are attacked in one
-    ``invert_feature_map`` call, a stack per point; image ``ii`` at point
-    ``bi`` is attacked from the seed ``mix_seed(cfg.init_seed, bi, ii)``."""
+    model's partition points ``bis``, as one tuple per point. The points'
+    maps are attacked in one ``invert_feature_map`` call per group of
+    points whose maps share arenas (``_pack``), in point order, a stack
+    per point, so only one group's maps and reconstructions are held at a
+    time; image ``ii`` at point ``bi`` is attacked from the seed
+    ``mix_seed(cfg.init_seed, bi, ii)``."""
     if not images:
         raise PrivacyError("need at least one image")
-    labels = tuple(model.partition_points[bi][0] for bi in bis)
-    stacks = tuple(np.empty((len(images),) + model.layers[
-        model.boundary_of(label) - 1].output_shape) for label in labels)
-    # module-global lookups, so a wrapper set on this module sees each call
-    for label, maps in zip(labels, stacks):
-        for row, img in zip(maps, images):
-            row[...] = engine.forward_until(model, img, label)
-    seeds = tuple(tuple(mix_seed(cfg.init_seed, bi, ii)
-                        for ii in range(len(images))) for bi in bis)
-    recons = invert_feature_map(model, labels, stacks,
-                                replace(cfg, init_seed=seeds))
-    return [tuple(ssim(r, img) for r, img in zip(rs, images)) for rs in recons]
+    labels = [model.partition_points[bi][0] for bi in bis]
+    groups = []  # indices into bis; no arena holds maps of two groups
+    for rows in _pack(model, [model.boundary_of(label) for label in labels],
+                      [len(images)] * len(labels)):
+        js = list(dict.fromkeys(j for _, j, _ in rows))
+        if groups and groups[-1][-1] == js[0]:
+            groups[-1] += js[1:]
+        else:
+            groups.append(js)
+    sims = [None] * len(labels)
+    for js in sorted(sorted(js) for js in groups):
+        group = tuple(labels[j] for j in js)
+        stacks = tuple(np.empty((len(images),) + model.layers[
+            model.boundary_of(label) - 1].output_shape) for label in group)
+        # module-global lookups, so a wrapper set on this module sees each call
+        for label, maps in zip(group, stacks):
+            for row, img in zip(maps, images):
+                row[...] = engine.forward_until(model, img, label)
+        seeds = tuple(tuple(mix_seed(cfg.init_seed, bis[j], ii)
+                            for ii in range(len(images))) for j in js)
+        recons = invert_feature_map(model, group, stacks,
+                                    replace(cfg, init_seed=seeds))
+        for j, rs in zip(js, recons):
+            sims[j] = tuple(ssim(r, img) for r, img in zip(rs, images))
+    return sims
 
 
 def score_boundary(model, bi, images, cfg):

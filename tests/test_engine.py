@@ -527,7 +527,7 @@ def test_maxpool_matches_argmax_oracle():
     layers = [spec("p", ts.MAXPOOL, kernel=3, stride=2, padding=1),
               spec("f", ts.FLATTEN)]
     m = graph((30, 64, 64), layers, points=[("P", 1)])
-    arena = engine._arena(m, "P", 3)
+    arena = engine._arena(m, (("P", 3),))
     xs = rng.integers(0, 3, arena.x.shape).astype(np.float64)
     gs = rng.standard_normal(arena.feat.shape)
     np.copyto(arena.x, xs)
@@ -620,7 +620,7 @@ def test_input_gradient_aliases_no_cotangent_or_activation():
         # the bound prefix: its gradient shares no memory with its
         # activations or the cotangent, and the same arena running a
         # candidate next leaves it as it was
-        arena = engine._arena(m, "B")
+        arena = engine._arena(m, (("B", 1),))
         np.copyto(arena.x, x)
         arena.run()
         np.copyto(arena.cot, cot)
@@ -644,7 +644,7 @@ def test_arenas_match_public_api_bitwise_on_random_models():
     for _ in range(60):
         m = build_random_model(rng)
         kinds.update(layer.kind for layer in m.layers)
-        arena = engine._arena(m, "Z")
+        arena = engine._arena(m, (("Z", 1),))
         last = None
         for _ in range(4):
             x = rng.uniform(0.05, 0.95, m.input_shape)
@@ -670,7 +670,7 @@ def test_batched_arenas_match_public_api_per_image_on_random_models():
     for _ in range(40):
         m = build_random_model(rng)
         kinds.update(layer.kind for layer in m.layers)
-        arena = engine._arena(m, "Z", 3)
+        arena = engine._arena(m, (("Z", 3),))
         xs = rng.uniform(0.05, 0.95, (3,) + m.input_shape)
         cts = rng.standard_normal(arena.feat.shape)
         np.copyto(arena.x, xs)
@@ -722,7 +722,7 @@ def test_batched_arenas_match_maxpool_oracle_on_random_models(monkeypatch):
         seen.update((layer.params["kernel"], layer.params["stride"],
                      layer.params["padding"])
                     for layer in m.layers if layer.kind == ts.MAXPOOL)
-        arena = engine._arena(m, "Z", 2)
+        arena = engine._arena(m, (("Z", 2),))
         xs = rng.integers(0, 5, arena.x.shape) / 4.0
         cts = rng.standard_normal(arena.feat.shape)
         np.copyto(arena.x, xs)
@@ -753,7 +753,7 @@ def test_batched_conv_blocks_match_single_images(h, n, per, rows):
     st = m.schedule[0]
     assert (max(1, st.rows // h), min(st.rows, h)) == (per, rows)
     rng = np.random.default_rng(17)
-    arena = engine._arena(m, "Z", n)
+    arena = engine._arena(m, (("Z", n),))
     xs = rng.uniform(0.05, 0.95, (n,) + m.input_shape)
     cts = rng.standard_normal(arena.feat.shape)
     np.copyto(arena.x, xs)
@@ -844,7 +844,7 @@ def test_bordered_slots_match_split_halves_bitwise():
         assert g_chain.tobytes() == g.tobytes(), m.layers
         for out in (whole, feat, z, g, g_tail, g_chain):
             assert out.flags.c_contiguous
-        arena = engine._arena(m, "Z")
+        arena = engine._arena(m, (("Z", 1),))
         np.copyto(arena.x, x)
         arena.run()
         assert arena.feat.tobytes() == z.tobytes()
@@ -874,10 +874,10 @@ def test_arenas_allocate_each_transient_bordered_shape_once():
     m = graph((c, h, h), layers, [("Z", 7)])
     assert [st.border for st in m.schedule] == [
         (1, 0.0), (), (1, -np.inf), (1, 0.0), (), (1, 0.0), (), ()]
-    engine._arena(m, "Z")  # materialize the weights
+    engine._arena(m, (("Z", 1),))  # materialize the weights
     tracemalloc.start()
     try:
-        arena = engine._arena(m, "Z")
+        arena = engine._arena(m, (("Z", 1),))
         snap = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
@@ -902,7 +902,7 @@ def test_padded_read_of_the_input_fills_no_border(toy4):
     # block1.conv pads the graph input, which is never bordered: the bound
     # forward copies it into the interior of a scratch array whose border
     # was filled when the array was made, and emits no fill of its own
-    arena = engine._arena(toy4, "L4")
+    arena = engine._arena(toy4, (("L4", 1),))
     assert len(arena._fwd) == 21
     assert all(getattr(f, "__name__", "") != "fill" for f, _ in arena._fwd)
     f, (inner, src) = arena._fwd[0]
@@ -917,7 +917,7 @@ def test_col2im_planes_are_zeroed_once(toy4):
     # the planes come zeroed from the pool, so none of the four col2im
     # layers in toy4's L4 backward emits a fill: each is one planes block,
     # placed, summed and cropped
-    arena = engine._arena(toy4, "L4")
+    arena = engine._arena(toy4, (("L4", 1),))
     assert len(arena._bwd) == 38
     assert all(getattr(f, "__name__", "") != "fill" for f, _ in arena._bwd)
     # two convs whose planes have one shape, (3, 3, 2, 10, 10), but another
@@ -928,7 +928,7 @@ def test_col2im_planes_are_zeroed_once(toy4):
     m = graph((2, 8, 8), [spec("c1", ts.CONV, stride=1, seed=1, **conv),
                           spec("c2", ts.CONV, stride=2, seed=2, **conv),
                           spec("z", ts.SIGMOID)], [("Z", 2)])
-    arena = engine._arena(m, "Z")
+    arena = engine._arena(m, (("Z", 1),))
     rng = np.random.default_rng(16)
     for _ in range(2):
         x = rng.uniform(0.05, 0.95, m.input_shape)
@@ -955,8 +955,9 @@ def _match_single_arenas(m, labels, counts, xs, rng):
     """Run and differentiate ``xs`` in one arena over ``labels``, deepest
     first, with ``counts`` rows each, and check each boundary's rows, feat
     and gradient, against an arena of that boundary alone."""
-    arena = engine._arena(m, labels, counts)
-    singles = [engine._arena(m, label, n) for label, n in zip(labels, counts)]
+    arena = engine._arena(m, tuple(zip(labels, counts)))
+    singles = [engine._arena(m, ((label, n),))
+               for label, n in zip(labels, counts)]
     for x in xs:  # the arena runs again over arrays its last run wrote
         cts = [rng.standard_normal(c.shape) for c in arena.cots]
         np.copyto(arena.x, x)
@@ -1018,10 +1019,10 @@ def test_ragged_arena_binds_each_layer_once(toy4):
     # rows of the boundaries at or beyond it. Its one forward op more than
     # L4 alone copies L3, a boundary slot and so unbordered, into the
     # bordered scratch block4.conv pads, over L4's two rows
-    singles = [engine._arena(toy4, label, 2) for label in toy4.labels()]
+    singles = [engine._arena(toy4, ((label, 2),)) for label in toy4.labels()]
     assert ([len(a._fwd) for a in singles], [len(a._bwd) for a in singles]) \
         == ([5, 11, 17, 21], [6, 19, 32, 38])
-    arena = engine._arena(toy4, ("L4", "L3", "L2", "L1"), (2, 2, 2, 2))
+    arena = engine._arena(toy4, (("L4", 2), ("L3", 2), ("L2", 2), ("L1", 2)))
     assert (len(arena._fwd), len(arena._bwd)) == (22, 38)
     l3 = arena.acts[toy4.boundary_of("L3") - 1]
     copies = [args for f, args in arena._fwd
@@ -1045,7 +1046,7 @@ def test_arena_checks_raise_the_public_passes_errors():
                    stride=1, padding=0, seed=0, init="identity"),
               spec("a", ts.ADD, skip_source=-1), spec("r", ts.RELU)]
     m = graph((2, 3, 3), layers, [("B", 2)])
-    arena = engine._arena(m, "B")
+    arena = engine._arena(m, (("B", 1),))
     x = np.full(m.input_shape, 0.5)
     ct = np.ones(arena.feat.shape[1:])
 
@@ -1181,7 +1182,7 @@ def test_dwconv_backward_partial_planes_block_matches_cropped_sum(
     want = col2im_oracle(g[..., None, None] * w[:, None, None], (c, h, h),
                          s, pad)
     assert ts.input_gradient(m, "Z", x, g).tobytes() == want.tobytes()
-    arena = engine._arena(m, "Z")
+    arena = engine._arena(m, (("Z", 1),))
     np.copyto(arena.x, x)
     arena.run()
     np.copyto(arena.cot, g)
@@ -1197,7 +1198,7 @@ def test_batched_dwconv_blocks_match_single_images(c, h, k, pad, n, blocks):
                                stride=1, padding=pad, seed=2),
                           spec("s", ts.SIGMOID), spec("f", ts.FLATTEN)],
               [("Z", 2)])
-    arena = engine._arena(m, "Z", n)
+    arena = engine._arena(m, (("Z", n),))
     # one in-place multiply per planes block; the sigmoid emits none
     assert sum(f is np.multiply for f, _ in arena._fwd) == blocks
     rng = np.random.default_rng(23)

@@ -510,7 +510,7 @@ def test_stack_larger_than_one_arena_runs_arenas_in_turn(monkeypatch):
     images = smooth_images(5, m.input_shape, seed=17)
     bind, binds = engine._arena, []
     monkeypatch.setattr(engine, "_arena", lambda *args: (
-        binds.append(args[2]), bind(*args))[1])
+        binds.append(args[1]), bind(*args))[1])
     reset = pushing_run(monkeypatch, [np.inf] * 5, 1e3)
     limits = [np.inf, 5, np.inf, np.inf, np.inf]
     for label in m.labels():
@@ -522,7 +522,8 @@ def test_stack_larger_than_one_arena_runs_arenas_in_turn(monkeypatch):
         binds.clear()
         stack, got, singles = run_stack_and_singles(m, label, maps, cfg,
                                                     reset, limits)
-        assert binds == [2, 2, 1] + [1] * 5, (label, binds)
+        assert binds == [((label, n),) for n in [2, 2, 1] + [1] * 5], \
+            (label, binds)
         lengths = [len(losses) for _, losses in singles]
         assert lengths[1] < 40 and max(lengths) == 40, (label, lengths)
         assert_stack_matches_singles(stack, got, singles)
@@ -542,9 +543,10 @@ def test_stack_larger_than_one_arena_runs_arenas_in_turn(monkeypatch):
 def test_evaluate_privacy_attacks_each_boundary_in_one_call(monkeypatch):
     # the call contract the benchmark's inversion timer relies on:
     # evaluate_privacy reaches invert_feature_map through the privacy
-    # module's global, once per evaluation, with four positional arguments:
-    # every label, one stack of the images' maps per label, and one
-    # mix_seed per map
+    # module's global, once per evaluation of a model whose maps share
+    # arenas, as a small toy's do, with four positional arguments: every
+    # label, one stack of the images' maps per label, and one mix_seed per
+    # map
     m = ts.build_toy_cnn(points=3, input_shape=(1, 16, 16), seed=2)
     images = smooth_images(3, (1, 16, 16), seed=4)
     cfg = ts.AttackConfig(steps=5, init_seed=6)
@@ -571,24 +573,57 @@ def test_evaluate_privacy_attacks_each_boundary_in_one_call(monkeypatch):
     assert ts.evaluate_privacy(m, images, cfg) == rep
 
 
+def test_evaluate_privacy_calls_once_per_group_of_shared_arenas(
+        monkeypatch):
+    # with room for L3's three maps in one arena, and for L2's three and an
+    # L1 map in one arena over several boundaries, toy3's maps pack into
+    # [L3 x 3], [L2 x 3, L1 x 1], [L1 x 2]: L3 is attacked in a call of its
+    # own and L1 with L2, in point order, each call holding only its
+    # group's maps, and the report is the one of a single call
+    m = ts.build_toy_cnn(points=3, input_shape=(1, 16, 16), seed=2)
+    images = smooth_images(3, (1, 16, 16), seed=4)
+    cfg = ts.AttackConfig(steps=5, init_seed=6)
+    rep = ts.evaluate_privacy(m, images, cfg)
+    cost = {label: ts.privacy._activation_bytes(m, m.boundary_of(label))
+            for label in m.labels()}
+    monkeypatch.setattr(ts.privacy, "_ARENA_BYTES", 3 * cost["L3"])
+    monkeypatch.setattr(ts.privacy, "_RAGGED_BYTES",
+                        3 * cost["L2"] + cost["L1"])
+    inner, calls = ts.privacy.invert_feature_map, []
+
+    def recorded(model, labels, stacks, sub):
+        calls.append((labels, [len(maps) for maps in stacks], sub.init_seed))
+        return inner(model, labels, stacks, sub)
+
+    monkeypatch.setattr(ts.privacy, "invert_feature_map", recorded)
+    assert ts.evaluate_privacy(m, images, cfg) == rep
+    assert calls == [
+        (("L1", "L2"), [3, 3], tuple(tuple(ts.mix_seed(6, bi, ii)
+                                           for ii in range(3))
+                                     for bi in (0, 1))),
+        (("L3",), [3], (tuple(ts.mix_seed(6, 2, ii) for ii in range(3)),))]
+
+
 def test_inversions_at_several_boundaries_pack_rows_deepest_first(
         monkeypatch):
     # toy4's four boundaries, three maps each, given shallowest first: the
     # rows are packed deepest first into arenas whose maps' own prefix
-    # activations fit _ARENA_BYTES, an arena of one boundary bound as one,
-    # and each map's result and the summed losses (labels, then stack
-    # order) are those of its attack alone; map 1 at L2 stops early
+    # activations fit _ARENA_BYTES, or _RAGGED_BYTES for an arena over
+    # several boundaries, and each map's result and the summed losses
+    # (labels, then stack order) are those of its attack alone; map 1 at
+    # L2 stops early
     m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
     images = smooth_images(3, m.input_shape, seed=19)
     labels = ("L1", "L2", "L3", "L4")
     cost = {label: ts.privacy._activation_bytes(m, m.boundary_of(label))
             for label in labels}
     assert [cost[label] for label in labels] == [34816, 47104, 49664, 50688]
-    monkeypatch.setattr(ts.privacy, "_ARENA_BYTES",
-                        2 * cost["L4"] + cost["L3"])
+    monkeypatch.setattr(ts.privacy, "_ARENA_BYTES", 2 * cost["L4"] + 7)
+    monkeypatch.setattr(ts.privacy, "_RAGGED_BYTES",
+                        cost["L4"] + cost["L3"] + 7)
     bind, binds = engine._arena, []
     monkeypatch.setattr(engine, "_arena", lambda *args: (
-        binds.append(args[1:]), bind(*args))[1])
+        binds.append(args[1]), bind(*args))[1])
     stacks = tuple(np.stack([ts.forward_until(m, x, label) for x in images])
                    for label in labels)
     seeds = ((4, 0, 9), (1, 2, 3), (7, 7, 5), (0, 11, 6))
@@ -599,9 +634,10 @@ def test_inversions_at_several_boundaries_pack_rows_deepest_first(
     got = []
     recons = ts.invert_feature_map(m, labels, stacks, cfg,
                                    lambda s, l: got.append((s, l)))
-    assert binds == [("L4", 2), (("L4", "L3"), (1, 2)),
-                     (("L3", "L2"), (1, 2)), (("L2", "L1"), (1, 2)),
-                     ("L1", 1)]
+    # one boundary's maps fill an arena past _RAGGED_BYTES (L4's two), and a
+    # further boundary's join one only within it
+    assert binds == [(("L4", 2),), (("L4", 1), ("L3", 1)), (("L3", 2),),
+                     (("L2", 2),), (("L2", 1), ("L1", 1)), (("L1", 2),)]
     singles = []
     for label, maps, group in zip(labels, stacks, seeds):
         for ii, (f, seed) in enumerate(zip(maps, group)):

@@ -5,7 +5,9 @@ given), their ``forward_until`` maps at the boundary ("Layer 4" unless
 given) as the targets, then one ``invert_feature_map`` call with
 ``AttackConfig(steps=3)`` over the map, or over the stack of N maps with
 seeds 0 to N - 1. The boundary ``all`` attacks every boundary's stack in
-that one call, as ``evaluate_privacy`` does. The process's peak RSS
+that one call, by ``invert_feature_map``'s tuple form (``evaluate_privacy``
+makes one such call per group of boundaries whose maps share an arena: at
+224 pixels, one per boundary). The process's peak RSS
 (``ru_maxrss``) is printed in MB, so two trees are compared by running it
 once per tree:
 
