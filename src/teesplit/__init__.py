@@ -19,8 +19,9 @@ from .graph import (ELEMENT_SIZE, ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV,
 from .architectures import (build_architecture, build_efficientnetb0,
                             build_resnet50, build_toy_cnn, build_vgg16,
                             resolve_model)
-from .tensors import (TensorError, load_image, load_tensor, require_tensor,
-                      save_tensor, tensor_from_bytes, tensor_to_bytes)
+from .tensors import (TeesplitError, TensorError, load_image, load_tensor,
+                      require_tensor, save_tensor, tensor_from_bytes,
+                      tensor_to_bytes)
 from .engine import (EngineError, clear_weight_cache, forward, forward_until,
                      input_gradient, layer_weights, model_param_bytes,
                      param_count)
@@ -51,8 +52,8 @@ __all__ = [
     "mix_seed", "model_from_json", "model_to_json", "save_model", "split",
     "build_architecture", "build_efficientnetb0", "build_resnet50",
     "build_toy_cnn", "build_vgg16", "resolve_model",
-    "TensorError", "load_image", "load_tensor", "require_tensor",
-    "save_tensor", "tensor_from_bytes", "tensor_to_bytes",
+    "TeesplitError", "TensorError", "load_image", "load_tensor",
+    "require_tensor", "save_tensor", "tensor_from_bytes", "tensor_to_bytes",
     "EngineError", "clear_weight_cache", "forward", "forward_until",
     "input_gradient", "layer_weights", "model_param_bytes", "param_count",
     "CalibrationError", "CostProfile", "PointCost", "RuntimeBreakdown",

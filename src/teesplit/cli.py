@@ -15,8 +15,6 @@ written atomically and depend only on flags and seeds.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -27,7 +25,6 @@ from .architectures import resolve_model
 from .charts import sweep_chart_svg
 from .costs import (CalibrationError, builtin_profile, calibrate, load_profile,
                     predict, profile_to_json)
-from .engine import EngineError
 from .graph import GraphError, enumerate_partitions, model_to_json
 from .pipeline import LedgerViolationError, simulate_pipeline
 from .planner import PlanError, PlanRequest, plan, plan_table_csv
@@ -35,8 +32,9 @@ from .privacy import (DEFAULT_SLACK, DEFAULT_THRESHOLD, AttackConfig,
                       InversionDivergenceError, PrivacyError, PrivacyReport,
                       _check_rule, evaluate_privacy, report_to_csv,
                       score_boundary, scores_from_csv)
-from .tensors import (TensorError, csv_text, load_image, load_tensor,
-                      read_text, save_tensor, write_text_atomic)
+from .tensors import (TeesplitError, TensorError, csv_column, csv_text,
+                      load_image, load_tensor, read_text, save_tensor,
+                      write_text_atomic)
 
 
 class _UsageError(Exception):
@@ -99,15 +97,6 @@ def _model_from_args(args):
                          seed=args.seed)
 
 
-def _add_model_flags(p):
-    p.add_argument("--model", required=True,
-                   help="architecture name, toy<N>, or model JSON path")
-    p.add_argument("--input-shape", type=_shape, metavar="CxHxW",
-                   help="model input shape")
-    p.add_argument("--seed", type=int, default=None,
-                   help="weight seed (default: PARTITION_SEED or 0)")
-
-
 def _add_attack_flags(p):
     p.add_argument("--images", required=True, help="directory of input images")
     p.add_argument("--steps", type=int, default=AttackConfig().steps)
@@ -146,13 +135,10 @@ def _cmd_enumerate(args):
 
 def _cmd_calibrate(args):
     model = _model_from_args(args)
-    text = read_text(args.measurements, CalibrationError, "measurements CSV")
-    rows = list(csv.DictReader(io.StringIO(text)))
-    try:
-        measurements = [(r["label"], float(r["total_seconds"])) for r in rows]
-    except (KeyError, TypeError, ValueError):
-        raise CalibrationError(
-            "measurements CSV needs label,total_seconds columns") from None
+    measurements = csv_column(
+        read_text(args.measurements, CalibrationError, "measurements CSV"),
+        "total_seconds", CalibrationError,
+        "measurements CSV needs label,total_seconds columns")
     profile = calibrate(model, measurements, args.full_enclave,
                         args.full_accelerator)
     _emit(args.out, json.dumps(profile_to_json(profile), indent=2) + "\n")
@@ -278,68 +264,60 @@ def _build_parser():
                                  "accelerator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="emit a model graph as JSON")
-    _add_model_flags(p)
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(fn=_cmd_build)
+    def command(name, summary, out=True):
+        """The subcommand ``name``, run by ``_cmd_<name>``, with the model
+        flags and, when ``out``, an ``--out`` path."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=globals()[f"_cmd_{name}"])
+        p.add_argument("--model", required=True,
+                       help="architecture name, toy<N>, or model JSON path")
+        p.add_argument("--input-shape", type=_shape, metavar="CxHxW",
+                       help="model input shape")
+        p.add_argument("--seed", type=int, default=None,
+                       help="weight seed (default: PARTITION_SEED or 0)")
+        if out:
+            p.add_argument("--out", help="output path (default stdout)")
+        return p
 
-    p = sub.add_parser("enumerate", help="list partition points and exposure")
-    _add_model_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_enumerate)
+    command("build", "emit a model graph as JSON")
+    command("enumerate", "list partition points and exposure")
 
-    p = sub.add_parser("calibrate", help="fit a cost profile from measurements")
-    _add_model_flags(p)
+    p = command("calibrate", "fit a cost profile from measurements")
     p.add_argument("--measurements", required=True,
                    help="CSV with label,total_seconds rows")
     p.add_argument("--full-enclave", type=float, required=True)
     p.add_argument("--full-accelerator", type=float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_calibrate)
 
-    p = sub.add_parser("predict", help="runtime breakdown per partition point")
-    _add_model_flags(p)
+    p = command("predict", "runtime breakdown per partition point")
     p.add_argument("--profile", required=True,
                    help="profile JSON path or builtin:<arch>")
     p.add_argument("--boundary", help="single partition point (default: all)")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_predict)
 
-    p = sub.add_parser("attack", help="invert the exposed map at one boundary")
-    _add_model_flags(p)
+    p = command("attack", "invert the exposed map at one boundary")
     p.add_argument("--boundary", required=True)
     _add_attack_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_attack)
 
-    p = sub.add_parser("evaluate", help="attack every boundary and pick the "
-                                        "optimal partition point")
-    _add_model_flags(p)
+    p = command("evaluate", "attack every boundary and pick the optimal "
+                            "partition point")
     _add_attack_flags(p)
-    p.add_argument("--out")
     p.add_argument("--svg", help="also render the similarity curve")
-    p.set_defaults(fn=_cmd_evaluate)
 
-    p = sub.add_parser("plan", help="choose a partition from privacy scores "
-                                    "and a cost profile")
-    _add_model_flags(p)
+    p = command("plan", "choose a partition from privacy scores and a "
+                        "cost profile")
     p.add_argument("--profile", required=True)
     p.add_argument("--privacy", required=True, help="privacy report CSV")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_plan)
 
-    p = sub.add_parser("simulate", help="run split inference with trust "
-                                        "accounting")
-    _add_model_flags(p)
+    p = command("simulate", "run split inference with trust accounting",
+                out=False)
     p.add_argument("--boundary", required=True)
     p.add_argument("--input", required=True, help="input tensor or image file")
     p.add_argument("--profile", required=True)
     p.add_argument("--out-tensor", help="write the output tensor here")
     p.add_argument("--ledger", help="write the trust ledger CSV here")
-    p.set_defaults(fn=_cmd_simulate)
 
+    # built by hand: its --model is optional, for the runtime panel only
     p = sub.add_parser("report", help="render privacy/runtime charts as SVG")
     p.add_argument("--privacy", required=True)
     p.add_argument("--model")
@@ -372,11 +350,11 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # ahead of TeesplitError, which both of these derive from
     except (InversionDivergenceError, LedgerViolationError) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, TensorError, EngineError, CalibrationError,
-            PrivacyError, PlanError, OSError) as exc:
+    except (TeesplitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .architectures import build_architecture
 from .graph import enumerate_partitions, weight_shapes
-from .tensors import read_json, write_text_atomic
+from .tensors import TeesplitError, read_json, write_text_atomic
 
 TRANSFER_CLAMP = (0.02, 0.1)
 
@@ -44,7 +44,7 @@ _BUILTIN_ANCHORS = {
 _DEFAULT_ACCELERATOR_SECONDS = 0.05
 
 
-class CalibrationError(ValueError):
+class CalibrationError(TeesplitError, ValueError):
     """Raised for unusable measurements or an inconsistent profile."""
 
 

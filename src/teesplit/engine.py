@@ -173,10 +173,10 @@ import numpy as np
 from .graph import (ADD, AVGPOOL, BNORM, CMUL, CONV, DWCONV, ELEMENT_SIZE, FC,
                     FLATTEN, GAP, MAXPOOL, RELU, SIGMOID, SWISH, weight_key,
                     weight_shapes)
-from .tensors import TensorError, require_tensor
+from .tensors import TeesplitError, TensorError, require_tensor
 
 
-class EngineError(ValueError):
+class EngineError(TeesplitError, ValueError):
     """Raised for invalid inputs to the execution engine."""
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from .tensors import numpy_holds, read_json, write_text_atomic
+from .tensors import TeesplitError, numpy_holds, read_json, write_text_atomic
 
 ELEMENT_SIZE = 4  # bytes per tensor element on the wire
 # bytes of im2col columns per conv forward block (see the engine's docstring)
@@ -73,7 +73,7 @@ _PARAM_SPEC = {
 }
 
 
-class GraphError(ValueError):
+class GraphError(TeesplitError, ValueError):
     """Raised for malformed model descriptions or invalid partition requests."""
 
 

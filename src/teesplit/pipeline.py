@@ -19,7 +19,7 @@ from . import engine
 from .architectures import resolve_model
 from .costs import predict
 from .graph import ELEMENT_SIZE, ModelGraph, enumerate_partitions, split
-from .tensors import csv_text
+from .tensors import TeesplitError, csv_text
 
 ZONE_TEE = "tee"
 ZONE_UNTRUSTED = "untrusted"
@@ -37,7 +37,7 @@ ARTIFACTS = (ART_INPUT, ART_CRITICAL, ART_NONCRITICAL, ART_FEATURE_MAP,
 _UNTRUSTED_OK = (ART_FEATURE_MAP, ART_NONCRITICAL, ART_OUTPUT)
 
 
-class LedgerViolationError(RuntimeError):
+class LedgerViolationError(TeesplitError, RuntimeError):
     """An artifact appeared in a zone the trust rules forbid."""
 
 

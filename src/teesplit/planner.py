@@ -9,7 +9,9 @@ runtime, preferring the earlier boundary on ties. When nothing is feasible
 the plan recommends keeping the whole model in the enclave.
 
 ``brute_force_plan`` re-derives the same answer by exhaustive scanning and
-exists as an independent check on ``plan``.
+exists as an independent check on ``plan``: its own feasibility scan and
+its own choice, with only the packaging of the result, ``_plan_of``,
+shared.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field
 from .costs import full_enclave_breakdown, predict
 from .privacy import (DEFAULT_SLACK, DEFAULT_THRESHOLD, PrivacyError,
                       _check_rule, feasible_boundaries)
-from .tensors import csv_text
+from .tensors import TeesplitError, csv_text
 
 
-class PlanError(ValueError):
+class PlanError(TeesplitError, ValueError):
     """Raised when the planning inputs are inconsistent."""
 
 
@@ -75,6 +77,19 @@ def _validated(req):
     return labels
 
 
+def _plan_of(req, best, alternatives):
+    """The plan that cuts at the Alternative ``best``, or keeps the whole
+    model in the enclave when ``best`` is None."""
+    label, breakdown, score = (
+        (None, full_enclave_breakdown(req.profile), None) if best is None
+        else (best.boundary_label, best.breakdown, best.mean_ssim))
+    return PartitionPlan(
+        model_name=req.model_name, chosen_boundary=label, breakdown=breakdown,
+        privacy_score=score,
+        full_enclave_seconds=req.profile.full_enclave_seconds,
+        alternatives=tuple(alternatives))
+
+
 def plan(req):
     """Best feasible partition under the request's threshold and slack."""
     _validated(req)
@@ -92,18 +107,7 @@ def plan(req):
         if feasible and (best is None
                          or breakdown.total_seconds < best.breakdown.total_seconds):
             best = alternatives[-1]
-
-    if best is None:
-        return PartitionPlan(
-            model_name=req.model_name, chosen_boundary=None,
-            breakdown=full_enclave_breakdown(req.profile), privacy_score=None,
-            full_enclave_seconds=req.profile.full_enclave_seconds,
-            alternatives=tuple(alternatives))
-    return PartitionPlan(
-        model_name=req.model_name, chosen_boundary=best.boundary_label,
-        breakdown=best.breakdown, privacy_score=best.mean_ssim,
-        full_enclave_seconds=req.profile.full_enclave_seconds,
-        alternatives=tuple(alternatives))
+    return _plan_of(req, best, alternatives)
 
 
 def brute_force_plan(req):
@@ -127,22 +131,13 @@ def brute_force_plan(req):
             breakdown=predict(req.profile, req.assignments[i])))
 
     if not feasible_idx:
-        return PartitionPlan(
-            model_name=req.model_name, chosen_boundary=None,
-            breakdown=full_enclave_breakdown(req.profile), privacy_score=None,
-            full_enclave_seconds=req.profile.full_enclave_seconds,
-            alternatives=tuple(alternatives))
+        return _plan_of(req, None, alternatives)
     best = feasible_idx[0]
     for i in feasible_idx[1:]:
         if (alternatives[i].breakdown.total_seconds
                 < alternatives[best].breakdown.total_seconds):
             best = i
-    alt = alternatives[best]
-    return PartitionPlan(
-        model_name=req.model_name, chosen_boundary=alt.boundary_label,
-        breakdown=alt.breakdown, privacy_score=alt.mean_ssim,
-        full_enclave_seconds=req.profile.full_enclave_seconds,
-        alternatives=tuple(alternatives))
+    return _plan_of(req, alternatives[best], alternatives)
 
 
 def plan_table_csv(plans):

@@ -17,8 +17,6 @@ one dip followed by a clear rise does not count as private.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -28,17 +26,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import engine
 from .graph import _index, mix_seed
-from .tensors import csv_text, require_tensor
+from .tensors import TeesplitError, csv_column, csv_text, require_tensor
 
 DEFAULT_THRESHOLD = 0.2
 DEFAULT_SLACK = 0.05
 
 
-class PrivacyError(ValueError):
+class PrivacyError(TeesplitError, ValueError):
     """Raised for invalid similarity or attack inputs."""
 
 
-class InversionDivergenceError(RuntimeError):
+class InversionDivergenceError(TeesplitError, RuntimeError):
     """Attack loss became non-finite; carries the offending step index, and
     the boundary label and index in its stack (0 for a single map) of the
     image whose loss it was."""
@@ -79,30 +77,28 @@ class PrivacyReport:
         return [lab for lab, _, _ in self.per_point]
 
 
-def _holds(test, value):
-    """``test(value)``, False where comparing ``value`` raises (a string,
-    None, an array)."""
+def _check(test, value, message):
+    """``value``, if ``test(value)`` holds; PrivacyError(message) if not,
+    or if the test cannot compare ``value`` (a string, None, an array)."""
     try:
-        return bool(test(value))
+        ok = bool(test(value))
     except (TypeError, ValueError):
-        return False
-
-
-def _require_positive(name, value):
-    if not _holds(lambda v: 0 < v < np.inf, value):
-        raise PrivacyError(f"{name} must be finite and > 0, got {value!r}")
+        ok = False
+    if not ok:
+        raise PrivacyError(message)
+    return value
 
 
 def _window_size(size):
     """``size`` as an int, if it is an odd integer >= 3."""
-    try:
-        k = _index(size)
-    except TypeError:
-        k = 0
-    if k % 2 != 1 or k < 3:
-        raise PrivacyError(f"window size must be an odd integer >= 3, "
-                           f"got {size!r}")
-    return k
+    return _index(_check(lambda v: _index(v) % 2 == 1 and _index(v) >= 3,
+                         size, f"window size must be an odd integer >= 3, "
+                               f"got {size!r}"))
+
+
+def _require_positive(name, value):
+    _check(lambda v: 0 < v < np.inf, value,
+           f"{name} must be finite and > 0, got {value!r}")
 
 
 def gaussian_window(size, sigma):
@@ -378,10 +374,8 @@ def feasible_boundaries(values, threshold, slack):
 
 
 def _check_rule(threshold, slack):
-    if not _holds(lambda v: v > 0, threshold):
-        raise PrivacyError("threshold must be positive")
-    if not _holds(lambda v: v >= 0, slack):
-        raise PrivacyError("slack must be non-negative")
+    _check(lambda v: v > 0, threshold, "threshold must be positive")
+    _check(lambda v: v >= 0, slack, "slack must be non-negative")
 
 
 def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
@@ -450,8 +444,6 @@ def evaluate_privacy(model, images, cfg=AttackConfig(),
     its original. Returns the report with the threshold-rule optimal
     boundary (None when nothing qualifies).
     """
-    if not images:
-        raise PrivacyError("need at least one image")
     _check_rule(threshold, slack)  # before the attacks, not after them
     imgs = [require_tensor(im, shape=model.input_shape, name="image")
             for im in images]
@@ -477,15 +469,10 @@ def report_to_csv(report):
 
 def scores_from_csv(text):
     """(label, mean_ssim) rows from a privacy report CSV, in file order."""
-    rows = list(csv.DictReader(io.StringIO(text)))
-    if not rows:
+    out = csv_column(text, "mean_ssim", PrivacyError,
+                     "malformed privacy report row")
+    if not out:
         raise PrivacyError("privacy report is empty")
-    out = []
-    try:
-        for row in rows:
-            out.append((row["label"], float(row["mean_ssim"])))
-    except (KeyError, TypeError, ValueError):
-        raise PrivacyError("malformed privacy report row") from None
     if not all(np.isfinite(s) for _, s in out):
         raise PrivacyError("privacy report scores must be finite")
     return out

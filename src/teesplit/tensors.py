@@ -6,8 +6,8 @@ extent per dimension, then the elements as 4-byte floats in row-major order.
 Images may also be loaded from 8-bit PGM/PPM files (plain or raw), scaled to
 [0, 1]. All file writes go through a temp-file-then-rename so readers never
 observe partial output. Text files are read as UTF-8 after an optional
-byte-order mark, and every CSV table the package writes comes from
-``csv_text``.
+byte-order mark; every CSV table the package writes comes from
+``csv_text``, and every (label, number) column it reads from ``csv_column``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ import tempfile
 import numpy as np
 
 
-class TensorError(ValueError):
+class TeesplitError(Exception):
+    """Base of every error the package raises for a bad input or a broken
+    constraint; each subclass also keeps its ``ValueError`` or
+    ``RuntimeError`` base."""
+
+
+class TensorError(TeesplitError, ValueError):
     """Raised for malformed tensors or unreadable tensor/image files."""
 
 
@@ -96,6 +102,17 @@ def csv_text(header, rows):
         w.writerow([format(v, ".10g") if isinstance(v, float) else v
                     for v in row])
     return buf.getvalue()
+
+
+def csv_column(text, column, error, message):
+    """(label, value) pairs of a CSV table's ``label`` and ``column`` cells,
+    in row order, each value as a float; a missing column, a short row or a
+    cell that is not a number raises ``error(message)``."""
+    try:
+        return [(row["label"], float(row[column]))
+                for row in csv.DictReader(io.StringIO(text))]
+    except (KeyError, TypeError, ValueError):
+        raise error(message) from None
 
 
 def tensor_to_bytes(x):

@@ -582,3 +582,95 @@ def test_attack_and_report_check_threshold(tmp_path, capsys, monkeypatch,
     assert not svg.exists()
     # without --threshold the chart has no threshold line to check
     assert run(["report", "--privacy", str(priv), "--out", str(svg)]) == 0
+
+
+def test_subcommand_options_pinned():
+    # every subcommand's options: (required, default, type) by option
+    # string, and the handler it runs; help text is free to change
+    model = {"--model": (True, None, None), "--input-shape": (False, None, "_shape"),
+             "--seed": (False, None, "int")}
+    out = {"--out": (False, None, None)}
+    attack = {"--images": (True, None, None), "--steps": (False, 2000, "int"),
+              "--step-size": (False, 0.05, "float"),
+              "--threshold": (False, 0.2, "float"),
+              "--slack": (False, 0.05, "float")}
+    expected = {
+        "build": {**model, **out},
+        "enumerate": {**model, **out},
+        "calibrate": {**model, **out, "--measurements": (True, None, None),
+                      "--full-enclave": (True, None, "float"),
+                      "--full-accelerator": (True, None, "float")},
+        "predict": {**model, **out, "--profile": (True, None, None),
+                    "--boundary": (False, None, None)},
+        "attack": {**model, **out, **attack, "--boundary": (True, None, None)},
+        "evaluate": {**model, **out, **attack, "--svg": (False, None, None)},
+        "plan": {**model, **out, "--profile": (True, None, None),
+                 "--privacy": (True, None, None),
+                 "--threshold": (False, 0.2, "float"),
+                 "--slack": (False, 0.05, "float")},
+        "simulate": {**model, "--boundary": (True, None, None),
+                     "--input": (True, None, None),
+                     "--profile": (True, None, None),
+                     "--out-tensor": (False, None, None),
+                     "--ledger": (False, None, None)},
+        "report": {"--privacy": (True, None, None), "--model": (False, None, None),
+                   "--input-shape": (False, None, "_shape"),
+                   "--seed": (False, None, "int"),
+                   "--profile": (False, None, None),
+                   "--threshold": (False, None, "float"),
+                   "--out": (True, None, None)},
+    }
+    parser = ts.cli._build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert list(sub.choices) == list(expected)
+    for name, p in sub.choices.items():
+        got = {}
+        for action in p._actions:
+            if action.dest == "help":
+                continue
+            (option,) = action.option_strings
+            got[option] = (action.required, action.default,
+                           getattr(action.type, "__name__", None))
+        assert got == expected[name], name
+        assert p.get_default("fn") is getattr(ts.cli, f"_cmd_{name}"), name
+
+
+@pytest.mark.parametrize("text", ["label,seconds\nL1,0.3\nL3,0.9\n",
+                                  "label,total_seconds\nL1,0.3\nL3,fast\n",
+                                  "label,total_seconds\nL1,0.3\nL3\n"])
+def test_calibrate_needs_numeric_total_seconds(tmp_path, capsys, text):
+    meas = tmp_path / "meas.csv"
+    meas.write_text(text)
+    out = tmp_path / "prof.json"
+    assert run(["calibrate", "--model", "toy3", "--input-shape", "1x16x16",
+                "--measurements", str(meas), "--full-enclave", "1.0",
+                "--full-accelerator", "0.05", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: measurements CSV needs label,total_seconds "
+                            "columns\n")
+    assert not out.exists()
+
+
+def test_every_error_shares_one_base():
+    for cls, base in [(ts.GraphError, ValueError), (ts.TensorError, ValueError),
+                      (ts.EngineError, ValueError),
+                      (ts.CalibrationError, ValueError),
+                      (ts.PrivacyError, ValueError), (ts.PlanError, ValueError),
+                      (ts.InversionDivergenceError, RuntimeError),
+                      (ts.LedgerViolationError, RuntimeError)]:
+        assert issubclass(cls, ts.TeesplitError), cls
+        assert issubclass(cls, base), cls
+
+
+def test_memory_error_exits_one(capsys, monkeypatch):
+    # a size numpy can address but the host cannot hold: the handler is
+    # replaced, so nothing large is allocated
+    def short_of_memory(args):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(ts.cli, "_cmd_enumerate", short_of_memory)
+    assert run(["enumerate", "--model", "toy3", "--input-shape", "1x16x16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 8.00 EiB for an array\n"

@@ -138,13 +138,19 @@ def test_infeasible_falls_back_to_full_enclave():
     scores = tuple((a.boundary_label, 0.9) for a in asg)
     req = ts.PlanRequest(model_name=m.name, profile=prof, scores=scores,
                          assignments=asg, threshold=0.2, slack=0.05)
-    p = ts.plan(req)
-    assert not p.feasible
-    assert p.chosen_boundary is None
-    assert p.breakdown.total_seconds == prof.full_enclave_seconds
-    assert p.breakdown.speedup_vs_full_enclave == 0.0
-    b = ts.brute_force_plan(req)
-    assert b.chosen_boundary is None
+    # plan and brute_force_plan package their result alike, so each is
+    # checked against the full-enclave plan itself, not only against the other
+    for p in (ts.plan(req), ts.brute_force_plan(req)):
+        assert not p.feasible
+        assert p.chosen_boundary is None
+        assert p.privacy_score is None
+        assert p.breakdown == ts.full_enclave_breakdown(prof)
+        assert p.breakdown.total_seconds == prof.full_enclave_seconds
+        assert p.breakdown.speedup_vs_full_enclave == 0.0
+        assert p.full_enclave_seconds == prof.full_enclave_seconds
+        assert [a.boundary_label for a in p.alternatives] == [
+            a.boundary_label for a in asg]
+        assert not any(a.feasible for a in p.alternatives)
 
 
 def test_single_boundary_requests():
