@@ -85,7 +85,7 @@ window order from +0.0, and one copy crops it.
 Weights are materialized lazily from each layer's seed (He-style fan-in
 scaling, zero biases) in the shapes ``graph.weight_shapes`` gives, a
 depthwise kernel (C, k, k) stored offset-major, and cached
-by ``graph.weight_key`` (kind, seed, init and those shapes), so the two
+by ``graph.weight_key`` (kind, seed and those shapes), so the two
 halves of a split share the original layers' weights.
 
 Every pass walks the graph's ``schedule``, computed once per ``ModelGraph``
@@ -189,18 +189,13 @@ _WEIGHTS = {}
 
 
 def _materialize(layer):
-    p = layer.params
     shapes = weight_shapes(layer)
-    rng = np.random.default_rng(p.get("seed", 0))
+    rng = np.random.default_rng(layer.params.get("seed", 0))
     if layer.kind == BNORM:
         return {"gamma": rng.uniform(0.9, 1.1, shapes["gamma"]),
                 "beta": rng.standard_normal(shapes["beta"]) * 0.05}
     o, *fan = shapes["w"]
-    if p.get("init") == "identity":
-        w = np.zeros(shapes["w"])
-        for ch in range(o):
-            w[ch, ch, fan[1] // 2, fan[2] // 2] = 1.0
-    elif layer.kind == DWCONV:
+    if layer.kind == DWCONV:
         # indexed (C, k, k) but stored offset-major, (k, k, C) in memory,
         # the (k*k, C) layout the depthwise kernels read
         w = np.multiply(rng.standard_normal(shapes["w"]),
@@ -807,16 +802,14 @@ def _bind(st, acts, keep, scratch, m, end, ends):
     m rows, stored with the schedule's ``st.border`` unless it is ``end``,
     the boundary slot of its prefix, which is stored unbordered; a fresh
     array if the slot is in ``keep``, one from ``scratch.take`` if not.
-    ``ends`` holds the pass's boundary slots when it has several, else it
-    is None: in a pass over one prefix no layer reads its boundary slot."""
+    ``ends`` holds the pass's boundary slots."""
     scratch.start()
     border = () if st.index == end else st.border
     shape = (m,) + st.out_shape
     out = (_bordered(shape, border) if st.index in keep
            else scratch.take(shape, border))
     w = None if st.weight_key is None else _weights(st.weight_key, st.layer)
-    src, reads = ((st, acts) if ends is None
-                  else _reading(st, acts, st.refs, m, ends))
+    src, reads = _reading(st, acts, st.refs, m, ends)
     acts[st.index], ops = _KERNELS[st.kind][0](src, reads, out, w, scratch)
     return ops
 
@@ -835,10 +828,10 @@ def _bind_prefix(model, ends, acts, keep, scratch, apply):
     that layer's output.) At the graph's end or at a partition point, which
     only a reference to the boundary slot crosses, a boundary slot's only
     readers run fewer rows, and every other slot dies inside its prefix."""
-    lo, several = 0, ends.keys() if len(ends) > 1 else None
+    lo = 0
     for end in sorted(ends):
         for st in model.schedule[lo:end + 1]:
-            apply(_bind(st, acts, keep, scratch, ends[end], end, several))
+            apply(_bind(st, acts, keep, scratch, ends[end], end, ends.keys()))
             for r in st.dead:
                 if r not in keep:
                     scratch.give(acts[r], model.schedule[r].border)
@@ -873,8 +866,7 @@ def _bind_backward(model, st, acts, grads, inner, scratch):
         lead = grads[r] if len(grads[r]) == m else grads[r][:m]
         sums.append(None if first else lead)
         dsts.append(lead if first else scratch(shape))
-    src, reads = ((st, acts) if not inner else
-                  _reading(st, acts, _KERNELS[st.kind][2](st), m, inner.keys()))
+    src, reads = _reading(st, acts, _KERNELS[st.kind][2](st), m, inner.keys())
     terms, ops = _KERNELS[st.kind][1](src, g, reads, w, dsts, scratch)
     for dst, term, lead in zip(dsts, terms, sums):
         if lead is not None:

@@ -56,7 +56,7 @@ _WRITES_OUT = (RELU, BNORM, SWISH, SIGMOID, ADD, CMUL, MAXPOOL, AVGPOOL,
 # hyperparameters accepted per kind (name -> required flag)
 _PARAM_SPEC = {
     CONV: {"in_channels": True, "out_channels": True, "kernel": True,
-           "stride": True, "padding": True, "seed": False, "init": False},
+           "stride": True, "padding": True, "seed": False},
     DWCONV: {"channels": True, "kernel": True, "stride": True,
              "padding": True, "seed": False},
     FC: {"in_features": True, "units": True, "seed": False},
@@ -256,22 +256,17 @@ def _index(value):
 
 
 def _check_params(name, kind, params):
-    """Checked copy of ``params``, every value but ``init`` as an int."""
+    """Checked copy of ``params``, every value as an int."""
     spec = _PARAM_SPEC[kind]
     checked = {}
     for key, val in params.items():
         if key not in spec:
             raise GraphError(f"layer {name!r}: unknown {kind} parameter {key!r}")
-        if key == "init":
-            if val not in ("he", "identity"):
-                raise GraphError(f"layer {name!r}: unknown init {val!r}")
-        else:
-            try:
-                val = _index(val)
-            except TypeError:
-                raise GraphError(f"layer {name!r}: parameter {key!r} must be "
-                                 f"an integer") from None
-        checked[key] = val
+        try:
+            checked[key] = _index(val)
+        except TypeError:
+            raise GraphError(f"layer {name!r}: parameter {key!r} must be "
+                             f"an integer") from None
     for key, required in spec.items():
         if required and key not in params:
             raise GraphError(f"layer {name!r}: missing {kind} parameter {key!r}")
@@ -314,12 +309,6 @@ def _infer_shape(name, kind, p, in_shape, shapes):
         if c != want:
             raise GraphError(f"layer {name!r}: expects {want} input channels, "
                              f"got {c}")
-        if p.get("init") == "identity":
-            if p["in_channels"] != p["out_channels"]:
-                raise GraphError(f"layer {name!r}: identity init needs matching "
-                                 f"channel counts")
-            if p["kernel"] % 2 == 0:
-                raise GraphError(f"layer {name!r}: identity init needs an odd kernel")
         k, s, pad = p["kernel"], p["stride"], p.get("padding", 0)
         return (p.get("out_channels", c), _pool_extent(name, h, k, s, pad),
                 _pool_extent(name, w, k, s, pad))
@@ -378,13 +367,12 @@ def weight_shapes(layer):
 
 def weight_key(layer):
     """Key the engine caches the layer's weights under, None for kinds
-    without weights: kind, seed and init, plus the weight shapes, which fix
-    every other parameter the weights depend on."""
+    without weights: kind and seed, plus the weight shapes, which fix every
+    other parameter the weights depend on."""
     shapes = weight_shapes(layer)
     if not shapes:
         return None
-    p = layer.params
-    return (layer.kind, p.get("seed", 0), p.get("init", "he"), *shapes.values())
+    return (layer.kind, layer.params.get("seed", 0), *shapes.values())
 
 
 def source_of(layer, i):

@@ -38,8 +38,8 @@ class PrivacyError(TeesplitError, ValueError):
 
 class InversionDivergenceError(TeesplitError, RuntimeError):
     """Attack loss became non-finite; carries the offending step index, and
-    the boundary label and index in its stack (0 for a single map) of the
-    image whose loss it was."""
+    the boundary label and index in its stack (0 for a single map; in
+    ``evaluate_privacy``, in its images) of the image whose loss it was."""
 
     def __init__(self, step, image, boundary):
         super().__init__(f"attack loss of image {image} at boundary "
@@ -267,16 +267,15 @@ def _descend(model, labels, rows, targets, seeds, xs, cfg, steps):
     """The attack on the maps ``rows``, (boundary, label index, image index)
     deepest boundary first, of ``targets``, each from its seed in
     ``seeds``, over one arena; each map's accepted point goes to its row of
-    ``xs``. Returns the maps' losses after each step taken."""
+    ``xs`` once the attack stops. Returns the maps' losses after each step
+    taken."""
     n = len(rows)
     # a -0.0 bound becomes +0.0, so neither a start (lo + range * u) nor a
     # clipped pixel is ever -0.0, and x - d is -0.0 only when x is
     lo, hi = (bound + 0.0 for bound in cfg.pixel_bounds)
-    # one run of rows per boundary, a label's consecutive images: an arena
-    # of one boundary keeps its accepted points x in place in ``xs``
+    # one run of rows per boundary, a label's consecutive images
     runs = [list(run) for _, run in itertools.groupby(rows, lambda r: r[0])]
-    x = (xs[rows[0][1]][rows[0][2]:rows[-1][2] + 1] if len(runs) == 1
-         else np.empty((n,) + model.input_shape))
+    x = np.empty((n,) + model.input_shape)
     for row, (_, j, i) in zip(x, rows):
         row[...] = np.random.default_rng(seeds[j][i]).uniform(lo, hi, row.shape)
     # the prefixes bound once over all n maps; the accepted points x live
@@ -393,39 +392,37 @@ def select_optimal_partition(scores, threshold, slack=DEFAULT_SLACK):
 
 def _scores(model, bis, images, cfg):
     """Per-image similarity of the attack's reconstructions at each of the
-    model's partition points ``bis``, as one tuple per point. The points'
-    maps are attacked in one ``invert_feature_map`` call per group of
-    points whose maps share arenas (``_pack``), in point order, a stack
-    per point, so only one group's maps and reconstructions are held at a
-    time; image ``ii`` at point ``bi`` is attacked from the seed
-    ``mix_seed(cfg.init_seed, bi, ii)``."""
+    model's partition points ``bis``, as one tuple per point. The maps are
+    attacked in one ``invert_feature_map`` call per arena (``_pack``), its
+    rows' maps stacked per point, in point order, so only one arena's maps
+    and reconstructions are held at a time; image ``ii`` at point ``bi`` is
+    attacked from the seed ``mix_seed(cfg.init_seed, bi, ii)``, and a
+    divergence names ``ii``."""
     if not images:
         raise PrivacyError("need at least one image")
     labels = [model.partition_points[bi][0] for bi in bis]
-    groups = []  # indices into bis; no arena holds maps of two groups
+    sims = [[None] * len(images) for _ in labels]
     for rows in _pack(model, [model.boundary_of(label) for label in labels],
                       [len(images)] * len(labels)):
-        js = list(dict.fromkeys(j for _, j, _ in rows))
-        if groups and groups[-1][-1] == js[0]:
-            groups[-1] += js[1:]
-        else:
-            groups.append(js)
-    sims = [None] * len(labels)
-    for js in sorted(sorted(js) for js in groups):
+        js = sorted({j for _, j, _ in rows})
+        held = [[i for _, k, i in rows if k == j] for j in js]
         group = tuple(labels[j] for j in js)
-        stacks = tuple(np.empty((len(images),) + model.layers[
-            model.boundary_of(label) - 1].output_shape) for label in group)
         # module-global lookups, so a wrapper set on this module sees each call
-        for label, maps in zip(group, stacks):
-            for row, img in zip(maps, images):
-                row[...] = engine.forward_until(model, img, label)
-        seeds = tuple(tuple(mix_seed(cfg.init_seed, bis[j], ii)
-                            for ii in range(len(images))) for j in js)
-        recons = invert_feature_map(model, group, stacks,
-                                    replace(cfg, init_seed=seeds))
-        for j, rs in zip(js, recons):
-            sims[j] = tuple(ssim(r, img) for r, img in zip(rs, images))
-    return sims
+        stacks = tuple(np.stack([engine.forward_until(model, images[i], lab)
+                                 for i in ii]) for lab, ii in zip(group, held))
+        seeds = tuple(tuple(mix_seed(cfg.init_seed, bis[j], i) for i in ii)
+                      for j, ii in zip(js, held))
+        try:
+            recons = invert_feature_map(model, group, stacks,
+                                        replace(cfg, init_seed=seeds))
+        except InversionDivergenceError as exc:
+            raise InversionDivergenceError(
+                exc.step, held[group.index(exc.boundary)][exc.image],
+                exc.boundary) from None
+        for j, ii, rs in zip(js, held, recons):
+            for i, r in zip(ii, rs):
+                sims[j][i] = ssim(r, images[i])
+    return [tuple(s) for s in sims]
 
 
 def score_boundary(model, bi, images, cfg):
@@ -438,11 +435,11 @@ def evaluate_privacy(model, images, cfg=AttackConfig(),
                      threshold=DEFAULT_THRESHOLD, slack=DEFAULT_SLACK):
     """Attack every partition point of the model over a set of images.
 
-    Run the enclave prefix on each image at every boundary, invert every
-    exposed map in one attack, each from a per-image seed derived from the
-    config seed and the boundary, and score each reconstruction against
-    its original. Returns the report with the threshold-rule optimal
-    boundary (None when nothing qualifies).
+    Run the enclave prefix on each image at every boundary, invert the
+    exposed maps one arena at a time, each from a per-image seed derived
+    from the config seed and the boundary, and score each reconstruction
+    against its original. Returns the report with the threshold-rule
+    optimal boundary (None when nothing qualifies).
     """
     _check_rule(threshold, slack)  # before the attacks, not after them
     imgs = [require_tensor(im, shape=model.input_shape, name="image")

@@ -63,9 +63,31 @@ def test_bn_init_ranges():
     assert float(np.abs(w["beta"]).max()) < 0.3
 
 
-def test_identity_conv_is_identity():
+@pytest.fixture
+def identity_conv(monkeypatch):
+    """Materializes every conv's kernel as the identity for one test: 1.0
+    at the centre offset of each output channel's own input channel, 0.0
+    elsewhere, with the shipped zero bias. Each conv must keep its channel
+    count and have an odd kernel."""
+    materialize = engine._materialize
+
+    def identity(layer):
+        w = materialize(layer)
+        if layer.kind == ts.CONV:
+            o, _, k, _ = w["w"].shape
+            w["w"] = np.zeros(w["w"].shape)
+            w["w"][range(o), range(o), k // 2, k // 2] = 1.0
+        return w
+
+    ts.clear_weight_cache()
+    monkeypatch.setattr(engine, "_materialize", identity)
+    yield
+    ts.clear_weight_cache()
+
+
+def test_identity_conv_is_identity(identity_conv):
     layers = [spec("c", ts.CONV, in_channels=3, out_channels=3, kernel=3,
-                   stride=1, padding=1, seed=0, init="identity")]
+                   stride=1, padding=1, seed=0)]
     m = graph((3, 6, 6), layers)
     x = np.random.default_rng(0).uniform(0, 1, (3, 6, 6))
     assert ts.forward(m, x).tobytes() == x.tobytes()
@@ -1039,11 +1061,11 @@ def _raised(f):
     return type(info.value), str(info.value)
 
 
-def test_arena_checks_raise_the_public_passes_errors():
+def test_arena_checks_raise_the_public_passes_errors(identity_conv):
     # an identity conv added to its own input doubles it: an input of 1e308
     # overflows the boundary activation, a cotangent of 1e308 the gradient
     layers = [spec("c", ts.CONV, in_channels=2, out_channels=2, kernel=1,
-                   stride=1, padding=0, seed=0, init="identity"),
+                   stride=1, padding=0, seed=0),
               spec("a", ts.ADD, skip_source=-1), spec("r", ts.RELU)]
     m = graph((2, 3, 3), layers, [("B", 2)])
     arena = engine._arena(m, (("B", 1),))

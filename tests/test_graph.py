@@ -239,13 +239,15 @@ _DROP = object()
     (("layers", 0, "kernel"), "3"),
     (("layers", -1, "units"), 0),
     (("layers", -1, "units"), -1),
+    (("layers", 0, "init"), "he"),
 ], ids=["unit-without-start", "unit-end-not-integer", "layer-not-object",
         "input-shape-not-numeric", "partition-points-not-list",
         "boundary-not-integer", "float-dimension", "bool-dimension",
         "float-boundary", "source-not-integer", "name-not-string",
         "label-not-string", "negative-seed", "unit-count-not-integer",
         "unit-counts-not-list", "unit-count-negative", "float-kernel",
-        "bool-kernel", "string-kernel", "zero-units", "negative-units"])
+        "bool-kernel", "string-kernel", "zero-units", "negative-units",
+        "conv-init"])
 def test_model_from_json_rejects_malformed_documents(toy4, path, value):
     doc = ts.model_to_json(toy4)
     *parents, key = path

@@ -573,13 +573,13 @@ def test_evaluate_privacy_attacks_each_boundary_in_one_call(monkeypatch):
     assert ts.evaluate_privacy(m, images, cfg) == rep
 
 
-def test_evaluate_privacy_calls_once_per_group_of_shared_arenas(
-        monkeypatch):
+def test_evaluate_privacy_calls_once_per_arena(monkeypatch):
     # with room for L3's three maps in one arena, and for L2's three and an
     # L1 map in one arena over several boundaries, toy3's maps pack into
-    # [L3 x 3], [L2 x 3, L1 x 1], [L1 x 2]: L3 is attacked in a call of its
-    # own and L1 with L2, in point order, each call holding only its
-    # group's maps, and the report is the one of a single call
+    # [L3 x 3], [L2 x 3, L1 x 1], [L1 x 2]: each arena is attacked in a
+    # call of its own, its labels in point order, holding only its own
+    # maps with their images' seeds, and the report is the one of a single
+    # call
     m = ts.build_toy_cnn(points=3, input_shape=(1, 16, 16), seed=2)
     images = smooth_images(3, (1, 16, 16), seed=4)
     cfg = ts.AttackConfig(steps=5, init_seed=6)
@@ -595,13 +595,39 @@ def test_evaluate_privacy_calls_once_per_group_of_shared_arenas(
         calls.append((labels, [len(maps) for maps in stacks], sub.init_seed))
         return inner(model, labels, stacks, sub)
 
+    def seeds(bi, indices):
+        return tuple(ts.mix_seed(6, bi, ii) for ii in indices)
+
     monkeypatch.setattr(ts.privacy, "invert_feature_map", recorded)
     assert ts.evaluate_privacy(m, images, cfg) == rep
     assert calls == [
-        (("L1", "L2"), [3, 3], tuple(tuple(ts.mix_seed(6, bi, ii)
-                                           for ii in range(3))
-                                     for bi in (0, 1))),
-        (("L3",), [3], (tuple(ts.mix_seed(6, 2, ii) for ii in range(3)),))]
+        (("L3",), [3], (seeds(2, range(3)),)),
+        (("L1", "L2"), [1, 3], (seeds(0, [0]), seeds(1, range(3)))),
+        (("L1",), [2], (seeds(0, [1, 2]),))]
+
+
+def test_evaluate_privacy_names_the_diverging_image(monkeypatch):
+    # with each map in an arena of its own, image 2's map at L2 overflows
+    # the loss at its start: the error names the image's index among the
+    # images, not its row in its arena's call
+    m = ts.build_toy_cnn(points=4, input_shape=(1, 16, 16), seed=3)
+    images = smooth_images(3, m.input_shape, seed=21)
+    monkeypatch.setattr(ts.privacy, "_ARENA_BYTES", 1)
+    monkeypatch.setattr(ts.privacy, "_RAGGED_BYTES", 1)
+    forward_until = engine.forward_until
+
+    def pushed(model, x, label):
+        feat = forward_until(model, x, label)
+        if label == "L2" and x.tobytes() == images[2].tobytes():
+            feat = np.full(feat.shape, 1e200)
+        return feat
+
+    monkeypatch.setattr(engine, "forward_until", pushed)
+    with pytest.raises(ts.InversionDivergenceError) as err:
+        ts.evaluate_privacy(m, images, ts.AttackConfig(steps=2))
+    assert (err.value.image, err.value.boundary) == (2, "L2")
+    assert err.value.step == 0
+    assert "image 2 at boundary 'L2'" in str(err.value)
 
 
 def test_inversions_at_several_boundaries_pack_rows_deepest_first(

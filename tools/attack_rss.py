@@ -1,35 +1,32 @@
-"""Print the peak memory of one inversion attack on a network's boundary maps.
+"""Print the peak memory of the library's attack on a network's boundary maps.
 
-The protocol: N seeded 3x224x224 inputs to the network (VGG-16 unless
-given), their ``forward_until`` maps at the boundary ("Layer 4" unless
-given) as the targets, then one ``invert_feature_map`` call with
-``AttackConfig(steps=3)`` over the map, or over the stack of N maps with
-seeds 0 to N - 1. The boundary ``all`` attacks every boundary's stack in
-that one call, by ``invert_feature_map``'s tuple form (``evaluate_privacy``
-makes one such call per group of boundaries whose maps share an arena: at
-224 pixels, one per boundary). The process's peak RSS
-(``ru_maxrss``) is printed in MB, so two trees are compared by running it
-once per tree:
+The protocol: N seeded 3x224x224 images, in [0, 1], for the network
+(VGG-16 unless given), scored with ``AttackConfig(steps=3)`` by the
+library's own entry points: ``privacy.score_boundary`` at one boundary
+("Layer 4" unless given), or ``evaluate_privacy`` at every boundary when
+the boundary is ``all``. Each runs the enclave prefix on every image,
+inverts the maps one arena at a time and scores each reconstruction, so
+the figure is what the ``attack`` and ``evaluate`` commands hold. The
+process's peak RSS (``ru_maxrss``) is printed in MB, so two trees are
+compared by running it once per tree:
 
     PYTHONPATH=/path/to/old/src python3 tools/attack_rss.py
     PYTHONPATH=src python3 tools/attack_rss.py
-    PYTHONPATH=src python3 tools/attack_rss.py 2
+    PYTHONPATH=src python3 tools/attack_rss.py 4 vgg16 "Layer 1"
     PYTHONPATH=src python3 tools/attack_rss.py 1 efficientnetb0 "Layer 5"
     PYTHONPATH=src python3 tools/attack_rss.py 1 resnet50 all
 
 Arguments, all optional and in this order: the number of images N (at
 least 1), a built-in network and one of its boundary labels, or ``all``.
 
-On VGG-16 Layer 4, with one image, it takes about 3.5 s and peaks near
-482 MB on a 2-vCPU x86-64 host with one BLAS thread, near 488 MB with two
-and near 584 MB with twenty. The figure moves with how the engine stores
-and pools an inversion's arrays; at this size the attack binds one image
-at a time, so only the stack's inputs, targets and results grow with N.
 EfficientNet-B0 Layer 5 is the one run of the depthwise kernels' scratch
 at 224 pixels, and ResNet-50 Layer 1 the one of an overlapping max pool
-(k3/s2/p1) in an arena. With ``all``, every boundary's maps are packed
-deepest first into arenas that run one after another, so the peak is the
-deepest arena's plus every boundary's targets and results.
+(k3/s2/p1) in an arena. At 224 pixels an arena holds the maps of one
+boundary, so the peak is the largest arena's plus the images, that
+arena's maps and reconstructions, and the similarity's window arrays:
+apart from the images, it stops growing with N once a boundary's maps
+fill more than one arena (VGG-16 Layer 1 holds one map per arena).
+Figures for a 2-vCPU x86-64 host with one BLAS thread are in README.md.
 """
 
 from __future__ import annotations
@@ -41,12 +38,13 @@ import sys
 import numpy as np
 
 import teesplit as ts
+from teesplit.privacy import score_boundary
 
 
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="attack_rss.py",
-        description="peak RSS of one 3-step inversion attack at 3x224x224")
+        description="peak RSS of a 3-step attack's scores at 3x224x224")
     parser.add_argument("images", nargs="?", type=int, default=1)
     parser.add_argument("network", nargs="?", default="vgg16")
     parser.add_argument("boundary", nargs="?", default="Layer 4")
@@ -56,32 +54,17 @@ def main(argv):
         parser.error("IMAGES must be at least 1")
     try:
         model = ts.resolve_model(args.network, (3, 224, 224), seed=0)
-        labels = (tuple(model.labels()) if boundary == "all"
-                  else (boundary,))
-        for label in labels:
-            model.boundary_of(label)
+        if boundary != "all":
+            model.boundary_of(boundary)
     except ts.GraphError as exc:
         parser.error(str(exc))
-    rng = np.random.default_rng(0)
-    if n == 1 and boundary != "all":
-        x = rng.uniform(0.0, 1.0, model.input_shape)
-        target = ts.forward_until(model, x, boundary)
-        ts.invert_feature_map(model, boundary, target,
-                              ts.AttackConfig(steps=3))
+    images = list(np.random.default_rng(0).uniform(
+        0.0, 1.0, (n,) + model.input_shape))
+    cfg = ts.AttackConfig(steps=3)
+    if boundary == "all":
+        ts.evaluate_privacy(model, images, cfg)
     else:
-        xs = rng.uniform(0.0, 1.0, (n,) + model.input_shape)
-        stacks = tuple(np.empty((n,) + model.layers[
-            model.boundary_of(label) - 1].output_shape) for label in labels)
-        for label, targets in zip(labels, stacks):
-            for target, x in zip(targets, xs):  # as evaluate_privacy fills them
-                target[...] = ts.forward_until(model, x, label)
-        seeds = tuple(range(n))
-        if boundary == "all":
-            ts.invert_feature_map(model, labels, stacks, ts.AttackConfig(
-                steps=3, init_seed=(seeds,) * len(labels)))
-        else:
-            ts.invert_feature_map(model, boundary, stacks[0],
-                                  ts.AttackConfig(steps=3, init_seed=seeds))
+        score_boundary(model, model.labels().index(boundary), images, cfg)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak_mb:.1f} MB (ru_maxrss), {n} image(s), "
           f"{args.network} {boundary}")
