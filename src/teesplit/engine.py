@@ -784,13 +784,10 @@ _KERNELS = {
 
 def _reading(st, acts, slots, m, ends):
     """``st`` and ``acts`` as layer ``st``, running m rows, reads ``slots``
-    of them. Only a boundary slot, one of ``ends`` (set-like), has more rows
-    than its readers, so when ``slots`` holds none they are as given; else
-    the arrays of ``slots`` by slot, each cut to its leading m rows, and
-    the source read as unbordered when it is one of ``ends``, which are
+    of them: the arrays of ``slots`` by slot, each cut to its leading m rows
+    (only a boundary slot, one of ``ends``, has more rows than its readers),
+    and the source read as unbordered when it is one of ``ends``, which are
     stored unbordered."""
-    if ends.isdisjoint(slots):
-        return st, acts
     return ((st._replace(bordered=False) if st.bordered and st.source in ends
              else st),
             {r: acts[r] if len(acts[r]) == m else acts[r][:m] for r in slots})

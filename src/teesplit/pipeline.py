@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import engine
-from .architectures import resolve_model
 from .costs import predict
-from .graph import ELEMENT_SIZE, ModelGraph, enumerate_partitions, split
+from .graph import ELEMENT_SIZE, enumerate_partitions, split
 from .tensors import TeesplitError, csv_text
 
 ZONE_TEE = "tee"
@@ -95,15 +94,13 @@ class PipelineResult:
 
 
 def simulate_pipeline(model, boundary_label, x, profile):
-    """Run split inference at one boundary and account every artifact move.
+    """Run split inference of the ModelGraph ``model`` at one boundary and
+    account every artifact move.
 
-    ``model`` may be a ModelGraph or an architecture name (built at the
-    input's shape). The output is bitwise identical to running the unsplit
-    model; the ledger validates against the zone rules before returning, and
-    the runtime breakdown comes from the cost profile.
+    The output is bitwise identical to running the unsplit model; the ledger
+    validates against the zone rules before returning, and the runtime
+    breakdown comes from the cost profile.
     """
-    if not isinstance(model, ModelGraph):
-        model = resolve_model(model, input_shape=tuple(int(d) for d in x.shape))
     b = model.boundary_of(boundary_label)
     assignment = next(a for a in enumerate_partitions(model)
                       if a.boundary_label == boundary_label)

@@ -74,7 +74,6 @@ def _validated(req):
         _check_rule(req.threshold, req.slack)
     except PrivacyError as exc:
         raise PlanError(str(exc)) from None
-    return labels
 
 
 def _plan_of(req, best, alternatives):

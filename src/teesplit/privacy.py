@@ -195,34 +195,28 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     """Reconstruct a plausible input whose boundary activation matches the
     exposed feature map.
 
-    ``exposed`` is one map, or a stack of N maps on a new leading axis with
-    ``cfg.init_seed`` a tuple of N seeds; the result has the same leading
-    shape. Or ``boundary_label`` is a nonempty tuple of distinct labels,
-    ``exposed`` a tuple of stacks, one per label, and ``cfg.init_seed`` a
-    tuple of seed tuples, one per stack; the result is then a tuple of
-    stacks. The maps are laid out deepest boundary first and packed into
-    bound prefixes (``engine._arena``) of as many maps as ``_ARENA_BYTES``
-    holds, or the smaller ``_RAGGED_BYTES`` for an arena over several
-    boundaries, each map counting the activations of its own prefix (at
-    least one map per arena; the arenas run one after another). Each map's
-    reconstruction is bitwise the one a call with that map and its seed
-    alone returns. Deterministic given the config seed. Once every map's
-    attack has stopped, ``on_step(step, loss)`` is invoked for each step
-    taken when provided, inside the attack's ``np.errstate(over="ignore",
+    ``exposed`` is one map, with ``cfg.init_seed`` one seed. Or
+    ``boundary_label`` is a nonempty tuple of distinct labels, ``exposed`` a
+    tuple of stacks of maps on a new leading axis, one per label, and
+    ``cfg.init_seed`` a tuple of seed tuples, one per stack; the result is
+    then a tuple of stacks. The maps are laid out deepest boundary first in
+    one bound prefix (``engine._arena``), each map running its own prefix,
+    so a call binds every map it is given at once: ``evaluate_privacy``
+    hands it one arena of its maps at a time. Each map's reconstruction is
+    bitwise the one a call with that map and its seed alone returns.
+    Deterministic given the config seed. Once every map's attack has
+    stopped, ``on_step(step, loss)`` is invoked for each step taken when
+    provided, inside the attack's ``np.errstate(over="ignore",
     invalid="ignore")``; for several maps, ``loss`` is their losses summed
     in argument order (labels, then stack order), a stopped map's last one
     included. Raises PrivacyError for a malformed config, before any work,
     and InversionDivergenceError, naming the step, the map's boundary and
-    its index in its stack, if a loss turns non-finite (over several
-    arenas, the first arena's to diverge).
+    its index in its stack, if a loss turns non-finite.
     """
     many = isinstance(boundary_label, tuple)
     labels = boundary_label if many else (boundary_label,)
     bs = [model.boundary_of(label) for label in labels]
-    stacked = many or np.ndim(exposed) == len(
-        model.layers[bs[0] - 1].output_shape) + 1
-    stacks = exposed if many else (
-        exposed if stacked else np.asarray(exposed)[None],)
+    stacks = exposed if many else (np.asarray(exposed)[None],)
     if not isinstance(stacks, tuple) or len(stacks) != len(bs):
         raise PrivacyError(f"attack needs a tuple of one stack of maps per "
                            f"label, got {type(exposed).__name__}")
@@ -231,8 +225,7 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     try:
         lo, hi = cfg.pixel_bounds
         seeds = [[_index(s) for s in group] for group in (
-            cfg.init_seed if many else
-            (cfg.init_seed if stacked else (cfg.init_seed,),))]
+            cfg.init_seed if many else ((cfg.init_seed,),))]
         ok = (-np.inf < lo < hi < np.inf and _index(cfg.steps) >= 1
               and 0 < cfg.step_size < np.inf
               and 1 <= len(seeds) == len(bs) == len(set(bs))
@@ -245,22 +238,19 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
                            f"size > 0, finite increasing pixel bounds, "
                            f"distinct labels and an integer init seed >= 0 "
                            f"per map, got {boundary_label!r}, {cfg!r}")
-    arenas = _pack(model, bs, [len(t) for t in targets])
+    rows = sorted(((b, j, i) for j, (b, t) in enumerate(zip(bs, targets))
+                   for i in range(len(t))), key=lambda r: -r[0])
     xs = [np.empty((len(t),) + model.input_shape) for t in targets]
     # overflow in the attack is the divergence signal, not an anomaly: every
     # non-finite loss, activation or gradient raises
     with np.errstate(over="ignore", invalid="ignore"):
-        # each arena's maps' losses after each of its steps
-        runs = [_descend(model, labels, rows, targets, seeds, xs, cfg,
-                         _index(cfg.steps)) for rows in arenas]
+        history = _descend(model, labels, rows, targets, seeds, xs, cfg,
+                           _index(cfg.steps))
         if on_step is not None:
-            # each map's (arena, row), in argument order
-            order = sorted((j, i, a, p) for a, rows in enumerate(arenas)
-                           for p, (_, j, i) in enumerate(rows))
-            for step in range(1, max(map(len, runs)) + 1):
-                on_step(step, sum(runs[a][min(step, len(runs[a])) - 1][p]
-                                  for _, _, a, p in order))
-    return tuple(xs) if many else xs[0] if stacked else xs[0][0]
+            order = sorted(range(len(rows)), key=lambda p: rows[p][1:])
+            for step, losses in enumerate(history, 1):
+                on_step(step, sum(losses[p] for p in order))
+    return tuple(xs) if many else xs[0][0]
 
 
 def _descend(model, labels, rows, targets, seeds, xs, cfg, steps):

@@ -74,14 +74,6 @@ def test_simulate_breakdown_matches_predict():
         assert res.breakdown == want
 
 
-def test_simulate_accepts_architecture_name():
-    x = smooth_images(1, (3, 64, 64), seed=1)[0]
-    prof = ts.builtin_profile("resnet50")
-    res = ts.simulate_pipeline("resnet50", "Layer 2", x, prof)
-    m = ts.build_architecture("resnet50", input_shape=(3, 64, 64))
-    assert res.output.tobytes() == ts.forward(m, x).tobytes()
-
-
 def test_simulate_unknown_boundary():
     m, prof, x = toy_setup()
     with pytest.raises(ts.GraphError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import teesplit as ts
+from teesplit.privacy import feasible_boundaries
 
 
 def toy_request_parts(points=4):
@@ -151,6 +152,23 @@ def test_infeasible_falls_back_to_full_enclave():
         assert [a.boundary_label for a in p.alternatives] == [
             a.boundary_label for a in asg]
         assert not any(a.feasible for a in p.alternatives)
+
+
+def test_scores_exactly_on_the_bounds_are_feasible():
+    # "at or below the threshold" and "within threshold + slack" take in
+    # the bounds themselves; each value here is exact in binary
+    rng = np.random.default_rng(18)
+    m, asg = toy_request_parts(2)
+    scores = tuple((a.boundary_label, s) for a, s in zip(asg, [0.25, 0.375]))
+    assert feasible_boundaries([0.25, 0.375], 0.25, 0.125) == [True, False]
+    assert ts.select_optimal_partition(scores, 0.25, 0.125) == \
+        asg[0].boundary_label
+    req = ts.PlanRequest(model_name=m.name, profile=random_profile(rng, m, asg),
+                         scores=scores, assignments=asg, threshold=0.25,
+                         slack=0.125)
+    for p in (ts.plan(req), ts.brute_force_plan(req)):
+        assert p.chosen_boundary == asg[0].boundary_label
+        assert [a.feasible for a in p.alternatives] == [True, False]
 
 
 def test_single_boundary_requests():

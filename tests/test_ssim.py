@@ -121,10 +121,13 @@ def test_mismatched_shapes_rejected():
 
 
 def test_out_of_range_images_rejected():
+    # values may stray 1e-12 past either end of [0, dynamic_range], no more
     a = np.zeros((1, 16, 16))
-    hot = np.full((1, 16, 16), 1.5)
-    with pytest.raises(ts.PrivacyError):
-        ts.ssim(a, hot)
+    for hot in [1.5, 1.0 + 1e-9, -1e-9]:
+        with pytest.raises(ts.PrivacyError):
+            ts.ssim(a, np.full((1, 16, 16), hot))
+    for near in [1.0 + 1e-13, -1e-13]:
+        ts.ssim(a, np.full((1, 16, 16), near))
 
 
 @pytest.mark.parametrize("field", ["sigma", "k1", "k2", "dynamic_range"])
