@@ -46,31 +46,36 @@ nothing but those activations: max pooling and Swish read their input
 (Swish recomputes its sigmoid), ReLU and Sigmoid their output, and the
 channel gate both operands.
 
+Depthwise convolution, ``_bind_col2im`` and max pooling, the three k*k
+kernels, take a batch's images' channels as one (N*C) channel axis, and
+cut it into blocks of whole channels by one rule (``_channel_block``): as
+many channels as fit in ``_PLANES_BLOCK_BYTES`` (1 MB), at least one, so
+a block may hold channels of several images. Each channel is computed
+alone, so a block's extent changes no bit.
+
 Every k*k offset sum follows one rule (``_offset_sum``): the k*k offset
-planes of a block of whole channels, at most ``_PLANES_BLOCK_BYTES`` (1 MB;
-one channel when a channel alone is larger), lie contiguously as (k*k, M),
-and one ``np.add.reduce`` over the first axis adds them plane after plane
-in row-major offset order from +0.0, with long inner loops however small
-the map. Depthwise convolution copies a block's windows into its planes,
-multiplies them in place by the weights as (k*k, C) and sums them into
-the output, three ops per block, then adds the bias; its blocks hold
-whole images when they fit. The backward of conv, depthwise conv and
-average pooling is one ``_bind_col2im``: each offset's window gradients
-are placed on a zeroed padded plane of their own in a single strided
-assignment, a block's whole padded planes are summed into a padded
-accumulator from the kernel scratch, and one copy crops it into the
-gradient; a sum from +0.0 is never -0.0, so the border's +0.0 terms change
-no bit. Its blocks take a batch's images' channels as one axis. Its planes
-are zeroed once, when made, and shared only between layers whose
-placements write the same positions, so no op refills them.
+planes of a block lie contiguously as (k*k, M), and one ``np.add.reduce``
+over the first axis adds them plane after plane in row-major offset order
+from +0.0, with long inner loops however small the map. Depthwise
+convolution copies a block's windows into its planes, multiplies them in
+place by the weights, repeated once per image as (k*k, N*C), and sums
+them into the output, three ops per block, then adds the bias. The
+backward of conv, depthwise conv and average pooling is one
+``_bind_col2im``: each offset's window gradients are placed on a zeroed
+padded plane of their own in a single strided assignment, a block's whole
+padded planes are summed into a padded accumulator from the kernel
+scratch, and one copy crops it into the gradient; a sum from +0.0 is
+never -0.0, so the border's +0.0 terms change no bit. Its planes are
+zeroed once, when made, and shared only between layers whose placements
+write the same positions, so no op refills them.
 
 Subgradient conventions at kinks: ReLU propagates zero at exactly zero;
 max pooling routes the gradient to the window's first maximum in row-major
-order, the element ``argmax`` picks. Max pooling is separable, per block
-of whole channels under ``_PLANES_BLOCK_BYTES``: a running ``np.maximum``
-over the k column offsets fills (Hr, OW) column maxima from the kernel
-scratch, Hr = s*(OH - 1) + k padded rows, and one over their k row
-offsets fills the output, 2(k - 1) ops per block. On a tie ``np.maximum``
+order, the element ``argmax`` picks. Max pooling is separable, per block:
+a running ``np.maximum`` over the k column offsets fills (Hr, OW) column
+maxima from the kernel scratch, Hr = s*(OH - 1) + k padded rows, and one
+over their k row offsets fills the output, 2(k - 1) ops per block for
+k >= 2 and two copies for k = 1. On a tie ``np.maximum``
 returns its second operand, the earlier offset, so each row yields its
 first maximal column and the row pass the first row holding the maximum:
 the row-major first maximum, signed zeros included. The forward keeps no
@@ -180,9 +185,15 @@ class EngineError(TeesplitError, ValueError):
     """Raised for invalid inputs to the execution engine."""
 
 
-# bytes of _bind_col2im's per-offset planes per channel block (see the
+# bytes of a k*k kernel's per-channel work per channel block (see the
 # module docstring)
 _PLANES_BLOCK_BYTES = 1 << 20
+
+
+def _channel_block(channels, elements):
+    """How many of ``channels`` channels, each ``elements`` float64s of
+    work, fit in ``_PLANES_BLOCK_BYTES``: at least one, at most all."""
+    return min(channels, max(1, _PLANES_BLOCK_BYTES // (elements * 8)))
 
 
 _WEIGHTS = {}
@@ -377,11 +388,11 @@ def _bind_col2im(gwin, dst, s, pad, scratch):
     gradients (..., OH, OW, k, k) scatter-added onto the padded input,
     offset by offset in row-major order, and cropped. The leading axes, a
     batch's images and their channels, are taken as one channel axis, which
-    ``gwin`` and ``dst`` must each be able to view as one. Each block's
-    whole padded planes are summed (``_offset_sum``), into ``dst`` itself
-    at ``pad == 0``, else into a padded accumulator that one copy crops
-    into ``dst``; a sum from +0.0 is never -0.0, so the planes' extra +0.0
-    terms change no bit.
+    ``gwin`` and ``dst`` must each be able to view as one, in
+    ``_channel_block`` blocks. Each block's whole padded planes are summed
+    (``_offset_sum``), into ``dst`` itself at ``pad == 0``, else into a
+    padded accumulator that one copy crops into ``dst``; a sum from +0.0 is
+    never -0.0, so the planes' extra +0.0 terms change no bit.
 
     The planes come zeroed from ``scratch.zeroed``, keyed by the stride and
     output extent, which fix the positions the place-copies write: every
@@ -392,7 +403,7 @@ def _bind_col2im(gwin, dst, s, pad, scratch):
     dst = np.reshape(dst, (-1,) + dst.shape[-2:], copy=False)
     c, h, w = dst.shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    cb = min(c, max(1, _PLANES_BLOCK_BYTES // (k * k * hp * wp * 8)))
+    cb = _channel_block(c, k * k * hp * wp)
     planes = scratch.zeroed((k * k, cb, hp, wp), (s, oh, ow))
     p0, p1, p2, p3 = planes.strides
     acc = scratch((cb, hp, wp)) if pad else None
@@ -472,46 +483,39 @@ def _conv_grad(st, g, acts, w, dsts, scratch):
 
 
 def _dwconv(st, acts, out, w, scratch):
-    """Per block of whole channels: the windows copied into the k*k offset
-    planes, the planes multiplied in place by the (k*k, C) weights, and one
-    ``_offset_sum`` into the output; then the bias. A block holds as many
-    whole images as fit in ``_PLANES_BLOCK_BYTES``, at least one, or, when
-    one image's planes do not fit, as many of its channels as do (at least
-    one). The planes are channel-major, (k*k, images, channels, OH, OW),
-    unless an output row is shorter than a 64-byte cache line (OW < 8):
-    the copy would then run row by row over a few elements, so they are
-    channel-last, (k*k, images, OH, OW, channels), summed into a
-    channel-last scratch that the bias add transposes into the output."""
+    """Per ``_channel_block`` of a batch's channels, every image's channels
+    taken as one axis: the windows copied into the k*k offset planes, the
+    planes multiplied in place by the (k*k, N*C) weights, the (k*k, C)
+    weights repeated once per image, and one ``_offset_sum`` into the
+    output; then the bias. The planes are channel-major, (k*k, channels,
+    OH, OW), unless an output row is shorter than a 64-byte cache line
+    (OW < 8): the copy would then run row by row over a few elements, so
+    they are channel-last, (k*k, OH, OW, channels), summed into a
+    channel-last scratch (OH, OW, N*C) that the bias add reads back into
+    the output; both are viewed channel-major."""
     k = st.kernel
     kk = k * k
     c, oh, ow = st.out_shape
     win, ops = _source_windows(st, acts, scratch)
-    n, hw = len(out), oh * ow
-    wk = w["w"].transpose(1, 2, 0).reshape((kk, c), copy=False)
-    per = max(1, _PLANES_BLOCK_BYTES // (kk * hw * 8))
-    imgs, chans = (min(n, per // c), c) if per >= c else (1, per)
-    last = ow < 8
-    planes = scratch((kk, imgs * chans * hw))
-    sums = scratch((n, oh, ow, c)) if last else out
-    for n0 in range(0, n, imgs):
-        for c0 in range(0, c, chans):
-            m, cb = min(imgs, n - n0), min(chans, c - c0)
-            flat = planes[:, :m * cb * hw]
-            if last:
-                p = flat.reshape((kk, m, oh, ow, cb), copy=False)
-                place = p.transpose(1, 4, 2, 3, 0)
-                wv = wk[:, None, None, None, c0:c0 + cb]
-                o = sums[n0:n0 + m, :, :, c0:c0 + cb]
-            else:
-                p = flat.reshape((kk, m, cb, oh, ow), copy=False)
-                place = p.transpose(1, 2, 3, 4, 0)
-                wv = wk[:, None, c0:c0 + cb, None, None]
-                o = sums[n0:n0 + m, c0:c0 + cb]
-            # window (image, ch, y, x, i, j) lands on plane i*k + j
-            place = place.reshape((m, cb, oh, ow, k, k), copy=False)
-            ops += [(np.copyto, place, win[n0:n0 + m, c0:c0 + cb]),
-                    (np.multiply, p, wv, p)] + _offset_sum(p, o)
-    ops.append((np.add, sums.transpose(0, 3, 1, 2) if last else out,
+    nc, hw, last = len(out) * c, oh * ow, ow < 8
+    win = np.reshape(win, (nc, oh, ow, k, k), copy=False)
+    wk = np.tile(w["w"].transpose(1, 2, 0).reshape((kk, c), copy=False),
+                 (1, len(out)))
+    cb = _channel_block(nc, kk * hw)
+    planes = scratch((kk, cb * hw))
+    sums = (scratch((oh, ow, nc)).transpose(2, 0, 1) if last
+            else np.reshape(out, (nc, oh, ow), copy=False))
+    for c0 in range(0, nc, cb):
+        m = min(cb, nc - c0)
+        p = planes[:, :m * hw]
+        p = (p.reshape((kk, oh, ow, m), copy=False).transpose(0, 3, 1, 2)
+             if last else p.reshape((kk, m, oh, ow), copy=False))
+        # window (channel, y, x, i, j) lands on plane i*k + j
+        place = p.transpose(1, 2, 3, 0).reshape((m, oh, ow, k, k), copy=False)
+        ops += [(np.copyto, place, win[c0:c0 + m]),
+                (np.multiply, p, wk[:, c0:c0 + m, None, None], p)
+                ] + _offset_sum(p, sums[c0:c0 + m])
+    ops.append((np.add, np.reshape(sums, out.shape, copy=False),
                 w["b"][:, None, None], out))
     return out, ops
 
@@ -528,9 +532,8 @@ def _dwconv_grad(st, g, acts, w, dsts, scratch):
 
 def _pool_blocks(st, acts, scratch):
     """Max pooling's source, padded, with every image's channels taken as
-    one axis, (N*C, Hp, Wp), in blocks of whole channels: the ops that pad
-    it, the shape (channels, Hr, OW) of a block's column maxima, as many
-    channels as fit in ``_PLANES_BLOCK_BYTES``, at least one, and, per
+    one axis, (N*C, Hp, Wp), in ``_channel_block`` blocks: the ops that pad
+    it, the shape (channels, Hr, OW) of a block's column maxima, and, per
     block, its first channel and its k column views (channels, Hr, OW),
     column offset j of every window over the Hr = s*(OH - 1) + k padded
     rows the windows read."""
@@ -540,7 +543,7 @@ def _pool_blocks(st, acts, scratch):
                            st.bordered)
     xp = np.reshape(xp, (-1,) + xp.shape[-2:], copy=False)
     hr = s * (oh - 1) + k
-    cb = min(len(xp), max(1, _PLANES_BLOCK_BYTES // (hr * ow * 8)))
+    cb = _channel_block(len(xp), hr * ow)
     return ops, (cb, hr, ow), [
         (c0, [xp[c0:c0 + cb, :hr, j:j + s * (ow - 1) + 1:s] for j in range(k)])
         for c0 in range(0, len(xp), cb)]
@@ -563,19 +566,16 @@ def _running_max(planes, out):
 
 
 def _maxpool(st, acts, out, w, scratch):
-    """Per block of whole channels, two running maxima: over the column
-    offsets into the (Hr, OW) column maxima (at k = 1, the one column
-    view), then over their row offsets into the output."""
+    """Per ``_channel_block`` of a batch's channels, two running maxima:
+    over the column offsets into the (Hr, OW) column maxima in scratch,
+    then over their row offsets into the output (at k = 1, two copies)."""
     ops, shape, blocks = _pool_blocks(st, acts, scratch)
     dst = np.reshape(out, (-1,) + out.shape[-2:], copy=False)
-    cm = scratch(shape) if st.kernel > 1 else None
+    cm = scratch(shape)
     for c0, cols in blocks:
-        n = len(cols[0])
-        c = cols[0]
-        if cm is not None:
-            c = cm[:n]
-            ops += _running_max(cols, c)
-        ops += _running_max(_pool_rows(c, st), dst[c0:c0 + n])
+        c = cm[:len(cols[0])]
+        ops += _running_max(cols, c) + _running_max(_pool_rows(c, st),
+                                                    dst[c0:c0 + len(c)])
     return out, ops
 
 
@@ -704,8 +704,7 @@ def _relu_grad(st, g, acts, w, dsts, scratch):
 
 def _gap_grad(st, g, acts, w, dsts, scratch):
     _, h, wd = st.in_shape
-    mean = scratch(g.shape)
-    return dsts, [(np.divide, g, h * wd, mean), (np.copyto, dsts[0], mean)]
+    return dsts, [(np.divide, g, h * wd, dsts[0])]
 
 
 def _gate(st, acts):
@@ -841,11 +840,11 @@ def _kept(steps):
     return {r for st in steps for r in _KERNELS[st.kind][2](st)}
 
 
-def _bind_backward(model, st, acts, grads, inner, scratch):
+def _bind_backward(model, st, acts, grads, ends, scratch):
     """Bind layer ``st``'s backward over ``acts`` and ``grads``, over the m
     rows of grads[st.index], and return its ops; it then gives that
     gradient back to ``scratch``. A slot's first term is written into the
-    leading m rows of its gradient: the array ``inner`` holds for the slot,
+    leading m rows of its gradient: the array ``ends`` holds for the slot,
     else one from ``scratch.take`` (the input's own array is always fresh).
     A later term goes into scratch and is added."""
     scratch.start()
@@ -858,12 +857,12 @@ def _bind_backward(model, st, acts, grads, inner, scratch):
                         else model.layers[r].output_shape)
         first = grads[r] is None
         if first:
-            grads[r] = (inner[r] if r in inner else np.empty(shape) if r < 0
+            grads[r] = (ends[r] if r in ends else np.empty(shape) if r < 0
                         else scratch.take(shape))
         lead = grads[r] if len(grads[r]) == m else grads[r][:m]
         sums.append(None if first else lead)
         dsts.append(lead if first else scratch(shape))
-    src, reads = _reading(st, acts, _KERNELS[st.kind][2](st), m, inner.keys())
+    src, reads = _reading(st, acts, _KERNELS[st.kind][2](st), m, ends.keys())
     terms, ops = _KERNELS[st.kind][1](src, g, reads, w, dsts, scratch)
     for dst, term, lead in zip(dsts, terms, sums):
         if lead is not None:
@@ -876,21 +875,22 @@ def _bind_backward(model, st, acts, grads, inner, scratch):
     return ops
 
 
-def _bind_gradient(model, upto, acts, cot, scratch, apply, inner=None):
-    """Bind the backward of layers [0, upto) over ``acts``, from cotangent
-    ``cot`` on slot upto - 1, and hand each layer's ops to ``apply`` before
-    the next layer binds; each layer runs the rows of its output gradient.
-    In a pass over nested prefixes, ``inner`` maps each other boundary slot
-    to its gradient array: the backward of the layers beyond it writes the
-    leading rows, its own cotangent fills the trailing ones. Returns the
-    input's gradient array, which holds the gradient once every op has been
-    applied."""
-    inner = inner or {}
+def _bind_gradient(model, acts, ends, scratch, apply):
+    """Bind the backward of layers [0, b) over ``acts``, b - 1 the deepest
+    slot of ``ends``, and hand each layer's ops to ``apply`` before the
+    next layer binds; each layer runs the rows of its output gradient.
+    ``ends`` maps each boundary slot of the pass to its gradient array:
+    the deepest one's holds the cotangent, and in a pass over nested
+    prefixes the backward of the layers beyond another boundary writes its
+    array's leading rows, and its own cotangent fills the trailing ones.
+    Returns the input's gradient array, which holds the gradient once
+    every op has been applied."""
+    upto = max(ends) + 1
     grads = [None] * (upto + 1)  # slot layout: the input's gradient is last
-    grads[upto - 1] = cot
+    grads[upto - 1] = ends[upto - 1]
     for st in reversed(model.schedule[:upto]):
         if grads[st.index] is not None:  # else only read beyond the boundary
-            apply(_bind_backward(model, st, acts, grads, inner, scratch))
+            apply(_bind_backward(model, st, acts, grads, ends, scratch))
     # never None: every source lies below its layer, so every chain ends here
     return grads[-1]
 
@@ -940,9 +940,8 @@ class _Arena:
             tuple(a[b - 1][rows[b - 1] - n:] for b, (_, n) in zip(bs, ends))
             for a in (self.acts, grads))
         self.feat, self.cot = self.feats[0], self.cots[0]
-        self._grad = _bind_gradient(model, bs[0], self.acts,
-                                    grads.pop(bs[0] - 1), scratch, bwd.extend,
-                                    grads)
+        self._grad = _bind_gradient(model, self.acts, grads, scratch,
+                                    bwd.extend)
         self._fwd = [(op[0], op[1:]) for op in fwd]
         self._bwd = [(op[0], op[1:]) for op in bwd]
         zeros = np.zeros(max(a.size for a in (self.x, *self.feats)))
@@ -1024,7 +1023,7 @@ def input_gradient(model, boundary_label, x, cotangent):
                 f"activation at {boundary_label!r}")
     cot = require_tensor(cotangent, shape=acts[b - 1].shape[1:],
                          name="cotangent")
-    gx = _bind_gradient(model, b, acts, cot[None], _Scratch(), _call)
+    gx = _bind_gradient(model, acts, {b - 1: cot[None]}, _Scratch(), _call)
     if not np.isfinite(gx).all():
         raise EngineError(f"model {model.name!r}: non-finite gradient")
     return gx[0]

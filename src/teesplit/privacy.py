@@ -244,8 +244,7 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     # overflow in the attack is the divergence signal, not an anomaly: every
     # non-finite loss, activation or gradient raises
     with np.errstate(over="ignore", invalid="ignore"):
-        history = _descend(model, labels, rows, targets, seeds, xs, cfg,
-                           _index(cfg.steps))
+        history = _descend(model, labels, rows, targets, seeds, xs, cfg)
         if on_step is not None:
             order = sorted(range(len(rows)), key=lambda p: rows[p][1:])
             for step, losses in enumerate(history, 1):
@@ -253,7 +252,7 @@ def invert_feature_map(model, boundary_label, exposed, cfg=AttackConfig(),
     return tuple(xs) if many else xs[0][0]
 
 
-def _descend(model, labels, rows, targets, seeds, xs, cfg, steps):
+def _descend(model, labels, rows, targets, seeds, xs, cfg):
     """The attack on the maps ``rows``, (boundary, label index, image index)
     deepest boundary first, of ``targets``, each from its seed in
     ``seeds``, over one arena; each map's accepted point goes to its row of
@@ -301,7 +300,7 @@ def _descend(model, labels, rows, targets, seeds, xs, cfg, steps):
     sizes = [cfg.step_size] * n  # each map's step size
     stale = [0] * n  # steps taken since the last accepted one
     history, refused = [], []
-    for step in range(1, steps + 1):
+    for step in range(1, cfg.steps + 1):
         # a step is refused only once the map's step size is at the floor,
         # where it stays, so no later step moves its x or runs a candidate:
         # a map that has stopped after 20 stale steps is left as it is while

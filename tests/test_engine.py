@@ -545,21 +545,24 @@ def test_maxpool_matches_argmax_oracle():
         assert got_g.tobytes() == np.ascontiguousarray(want_g).tobytes(), \
             (x.shape, k, s, pad)
     # a batched arena of three images, whose channels (3 x 30) also span
-    # two blocks: every image equals the oracle on it alone
-    layers = [spec("p", ts.MAXPOOL, kernel=3, stride=2, padding=1),
-              spec("f", ts.FLATTEN)]
-    m = graph((30, 64, 64), layers, points=[("P", 1)])
-    arena = engine._arena(m, (("P", 3),))
-    xs = rng.integers(0, 3, arena.x.shape).astype(np.float64)
-    gs = rng.standard_normal(arena.feat.shape)
-    np.copyto(arena.x, xs)
-    arena.run()
-    np.copyto(arena.cot, gs)
-    got = arena.gradient()
-    for x, g, out, gx in zip(xs, gs, arena.feat, got):
-        want_out, want_g = _maxpool_oracle(x, g, 3, 2, 1)
-        assert out.tobytes() == want_out.tobytes()
-        assert gx.tobytes() == np.ascontiguousarray(want_g).tobytes()
+    # two blocks: every image equals the oracle on it alone; at k = 1 the
+    # column maxima are a copy, and so is the output
+    for k, s, pad in [(3, 2, 1), (1, 2, 0), (1, 1, 0)]:
+        layers = [spec("p", ts.MAXPOOL, kernel=k, stride=s, padding=pad),
+                  spec("f", ts.FLATTEN)]
+        m = graph((30, 64, 64), layers, points=[("P", 1)])
+        arena = engine._arena(m, (("P", 3),))
+        xs = rng.integers(0, 3, arena.x.shape).astype(np.float64)
+        gs = rng.standard_normal(arena.feat.shape)
+        np.copyto(arena.x, xs)
+        arena.run()
+        np.copyto(arena.cot, gs)
+        got = arena.gradient()
+        for x, g, out, gx in zip(xs, gs, arena.feat, got):
+            want_out, want_g = _maxpool_oracle(x, g, k, s, pad)
+            assert out.tobytes() == want_out.tobytes(), (k, s, pad)
+            assert gx.tobytes() == np.ascontiguousarray(want_g).tobytes(), \
+                (k, s, pad)
 
 
 def test_schedule_holds_no_weights(request):
@@ -586,7 +589,7 @@ def test_warm_run_and_backward_rederive_nothing(monkeypatch, name, shape):
 
     def gradient():
         acts = engine._run(m, x, n, engine._kept(m.schedule), "output")
-        return engine._bind_gradient(m, n, acts, cot, engine._Scratch(),
+        return engine._bind_gradient(m, acts, {n - 1: cot}, engine._Scratch(),
                                      engine._call)
 
     want = gradient()  # warm
@@ -631,8 +634,8 @@ def test_input_gradient_aliases_no_cotangent_or_activation():
         # input_gradient's backward, over every activation of the prefix
         acts = engine._run(m, x, b, range(-1, b), "output")
         cot = rng.standard_normal(acts[b - 1].shape)
-        gx = engine._bind_gradient(m, b, acts, cot, engine._Scratch(),
-                                   engine._call)
+        gx = engine._bind_gradient(m, acts, {b - 1: cot},
+                                   engine._Scratch(), engine._call)
         assert gx.tobytes() == ts.input_gradient(m, "B", x, cot[0]).tobytes(), b
         assert gx.shape == (1,) + m.input_shape
         assert not np.shares_memory(gx, cot), b
@@ -1214,7 +1217,11 @@ def test_dwconv_backward_partial_planes_block_matches_cropped_sum(
 @pytest.mark.parametrize("c, h, k, pad, n, blocks", [
     (8, 64, 3, 1, 2, 6),  # 3 channels a block: 3 blocks an image
     (4, 32, 3, 1, 5, 2),  # 14 channels a block: blocks of 3 and 2 images
-    (600, 4, 5, 2, 3, 6)])  # channel-last, 327 channels a block: 2 an image
+    (600, 4, 5, 2, 3, 6),  # channel-last, 327 channels a block: 2 an image
+    # a block holds channels of two images: 6 of 12 channels, and, channel-
+    # last, 297 of 480; whole images a block would bind 3 blocks each
+    (4, 49, 3, 1, 3, 2),
+    (160, 7, 3, 1, 3, 2)])
 def test_batched_dwconv_blocks_match_single_images(c, h, k, pad, n, blocks):
     m = graph((c, h, h), [spec("d", ts.DWCONV, channels=c, kernel=k,
                                stride=1, padding=pad, seed=2),

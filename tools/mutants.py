@@ -51,6 +51,23 @@ MUTANTS = [
      ["tests/test_privacy.py"], None),
     ("privacy.py", "mix_seed(cfg.init_seed, bis[j], i)",
      "mix_seed(cfg.init_seed, j, i)", ["tests/test_privacy.py"], None),
+    # max pooling's first maximum: a tie keeps the earlier offset
+    ("engine.py", "(np.greater, cols[1], cols[0], q)",
+     "(np.greater_equal, cols[1], cols[0], q)", ["tests/test_engine.py"],
+     None),
+    ("engine.py", "(np.greater, rc[i], prev, u)",
+     "(np.greater_equal, rc[i], prev, u)", ["tests/test_engine.py"], None),
+    ("engine.py", "acc[:n, pad:pad + h, pad:pad + w]", "acc[:n, :h, :w]",
+     ["tests/test_engine.py"], None),
+    ("engine.py", "if not math.isfinite(self._grad_dot()):", "if False:",
+     ["tests/test_engine.py"], None),
+    ("engine.py", "if not math.isfinite(self._x_dot()):", "if False:",
+     ["tests/test_engine.py", "tests/test_privacy.py"], None),
+    ("engine.py", "// (elements * 8)", "// elements",
+     ["tests/test_engine.py"], None),
+    ("engine.py", "axis=0, initial=0.0,", "axis=0,", ["tests/test_engine.py"],
+     "on numpy 2.4 an add reduction over planes of -0.0 gives +0.0 "
+     "without initial too"),
 ]
 
 
